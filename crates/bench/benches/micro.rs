@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the protocol's hot primitives:
 //! field arithmetic, Shamir share/reconstruct, iterated dealing,
 //! sampler and regular-graph construction, the lightest-bin election,
-//! one committee-agreement execution, and one Algorithm-3 loop.
+//! one committee-agreement execution, communication-tree generation, and
+//! one Algorithm-3 loop.
 
 use ba_core::ae_to_e::{AeToEConfig, AeToEProcess};
 use ba_core::aeba::{run_committee, AebaConfig, CommitteeAttack};
@@ -10,6 +11,7 @@ use ba_crypto::iterated::{Layer, ShareTree};
 use ba_crypto::{shamir, Gf16};
 use ba_sampler::{RegularGraph, Sampler};
 use ba_sim::{derive_rng, NullAdversary, SimBuilder};
+use ba_topology::{Params, Tree};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::Rng;
 
@@ -189,6 +191,45 @@ fn bench_committee(c: &mut Criterion) {
             })
         });
     }
+    // The tournament's converged case: a scale-profile level-4 committee
+    // (k = 1536, gossip degree 4·log₂4096 = 48) whose good members all
+    // hold the same bit, so the kernel reaches its fixed point after the
+    // first round.
+    let k = 1536;
+    let graph = RegularGraph::random_out_degree(k, 48, &mut rng);
+    let good: Vec<bool> = (0..k).map(|i| i % 5 != 0).collect();
+    let inputs = vec![true; k];
+    g.bench_function(format!("k{k}_unanimous_8rounds"), |bch| {
+        bch.iter(|| {
+            run_committee(
+                &good,
+                &inputs,
+                &graph,
+                |i, r| (i + r) % 2 == 0,
+                8,
+                &AebaConfig::default(),
+                CommitteeAttack::Passive,
+                &mut rng,
+            )
+        })
+    });
+    g.finish();
+}
+
+fn bench_tree(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tree");
+    g.sample_size(10);
+    // The scale profile's tree (k₁ = 2·log₂n): membership only, since
+    // uplinks and ℓ-links are drawn on first access.
+    let n = 4096;
+    let params = Params::practical(n).with_k1(24);
+    let mut seed = 0u64;
+    g.bench_function(format!("generate_n{n}_scale"), |bch| {
+        bch.iter(|| {
+            seed += 1;
+            Tree::generate(&params, seed)
+        })
+    });
     g.finish();
 }
 
@@ -288,6 +329,7 @@ criterion_group!(
     bench_sampler,
     bench_election,
     bench_committee,
+    bench_tree,
     bench_ae_to_e,
     bench_event_queue
 );

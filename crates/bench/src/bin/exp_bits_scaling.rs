@@ -6,8 +6,9 @@
 //! `Õ(n^{4/δ})` per processor — sub-√n only for the astronomical
 //! `q = log^δ n, δ > 8` regime), so at laptop scale we report both
 //! phases separately: the almost-everywhere→everywhere phase is the
-//! `Õ(√n)` workhorse whose empirical slope this experiment checks, and
-//! the crossover discussion lives in EXPERIMENTS.md.
+//! `Õ(√n)` workhorse whose empirical slope this experiment checks. Phase
+//! King's rows beyond n = 512 are its closed form, so the crossover
+//! against it can be read off the table.
 
 use ba_baselines::PhaseKingConfig;
 use ba_exp::{f3, loglog_slope, Experiment, Metric, RunSpec};

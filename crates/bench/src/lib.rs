@@ -1,7 +1,8 @@
 //! # ba-bench — the experiment binaries
 //!
-//! One binary per experiment in DESIGN.md §4 (`cargo run --release -p
-//! ba-bench --bin exp_*`), each a **thin preset over
+//! One binary per experiment (`cargo run --release -p ba-bench --bin
+//! exp_*`; each binary's module docs state the claim it measures), each a
+//! **thin preset over
 //! [`ba_exp::RunSpec`]**: the binary names its experiment cells; the
 //! `ba-exp` harness owns the arg parsing (`--json PATH`, `--trials N`),
 //! the parallel trial loop, the table printing, and the JSON emission.

@@ -406,6 +406,14 @@ pub fn run_committee<R: Rng + ?Sized>(
 /// the returned vector is the fraction of good members on the good
 /// plurality bit *after* round `r` — the series Lemmas 12/13 describe and
 /// experiment E4a plots.
+///
+/// A round that consults no coin and changes no vote (corrupt members'
+/// declared slots included) is a fixed point: every later round would
+/// repeat it exactly, so the kernel pads the trace with its value and
+/// stops. This never applies under [`CommitteeAttack::Split`], whose
+/// corrupt members draw from `rng` every round. Outcome, trace, the
+/// `coin_view` call sequence and the `rng` stream are identical to
+/// [`reference::run_committee_traced`], which runs every round.
 #[allow(clippy::too_many_arguments)]
 pub fn run_committee_traced<R: Rng + ?Sized>(
     good: &[bool],
@@ -420,63 +428,99 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
     let k = good.len();
     assert_eq!(inputs.len(), k, "inputs/good length mismatch");
     assert_eq!(graph.len(), k, "graph size mismatch");
-    let mut votes: Vec<bool> = inputs.to_vec();
     let threshold = config.supermajority();
+    let good_total = good.iter().filter(|&&g| g).count().max(1);
+    let good_ones = |votes: &[bool]| (0..k).filter(|&i| good[i] && votes[i]).count();
+    // Oppose: a corrupt neighbour always reports the opposite of the
+    // receiver's vote, so each good member's count is its good
+    // neighbours' ones plus, when it votes 0, its corrupt-edge count.
+    let bad_edges: Vec<usize> = if attack == CommitteeAttack::Oppose {
+        (0..k)
+            .map(|i| {
+                graph
+                    .neighbors(i)
+                    .iter()
+                    .filter(|&&u| !good[u as usize])
+                    .count()
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut votes: Vec<bool> = inputs.to_vec();
+    let mut next = votes.clone();
+    // What each member's edge carries to a good receiver this round
+    // (receiver-independent for every attack but Split). Padded to a
+    // power of two so the masked gather below needs no bounds check.
+    let mask = k.next_power_of_two() - 1;
+    let mut declared: Vec<u8> = vec![0; mask + 1];
     let mut trace = Vec::with_capacity(rounds);
 
     for r in 0..rounds {
         // Rushing: good votes for this round are the current `votes`;
         // corrupt members choose their outgoing votes knowing them.
-        let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
-        let good_total = good.iter().filter(|&&g| g).count().max(1);
-        let good_majority = 2 * good_ones >= good_total;
-        let mut next = votes.clone();
-        for (i, nv) in next.iter_mut().enumerate() {
+        let good_majority = 2 * good_ones(&votes) >= good_total;
+        for (u, d) in declared[..k].iter_mut().enumerate() {
+            *d = u8::from(match attack {
+                CommitteeAttack::Fixed(b) if !good[u] => b,
+                CommitteeAttack::Oppose | CommitteeAttack::Split if !good[u] => false,
+                _ => votes[u],
+            });
+        }
+        let mut coin_used = false;
+        for i in 0..k {
             if !good[i] {
                 continue;
             }
-            let mut ones = 0usize;
-            let mut total = 0usize;
-            for &u in graph.neighbors(i) {
-                let u = u as usize;
-                let v = if good[u] {
-                    votes[u]
-                } else {
-                    match attack {
-                        CommitteeAttack::Passive => votes[u],
-                        CommitteeAttack::Fixed(b) => b,
-                        CommitteeAttack::Oppose => !votes[i],
-                        CommitteeAttack::Split => {
-                            // Deterministic half/half split by member id.
-                            if u.is_multiple_of(2) {
-                                !good_majority
-                            } else {
-                                rng.gen_bool(0.5)
-                            }
-                        }
-                    }
-                };
-                total += 1;
-                if v {
-                    ones += 1;
-                }
-            }
+            next[i] = votes[i];
+            let nbrs = graph.neighbors(i);
+            let total = nbrs.len();
             if total == 0 {
                 continue;
             }
+            let ones = match attack {
+                CommitteeAttack::Split => {
+                    let mut ones = 0usize;
+                    for &u in nbrs {
+                        let u = u as usize;
+                        let v = if good[u] {
+                            votes[u]
+                        } else if u.is_multiple_of(2) {
+                            // Deterministic half/half split by member id.
+                            !good_majority
+                        } else {
+                            rng.gen_bool(0.5)
+                        };
+                        ones += usize::from(v);
+                    }
+                    ones
+                }
+                _ => {
+                    let sum = nbrs
+                        .iter()
+                        .map(|&u| u32::from(declared[u as usize & mask]))
+                        .sum::<u32>() as usize;
+                    if attack == CommitteeAttack::Oppose && !votes[i] {
+                        sum + bad_edges[i]
+                    } else {
+                        sum
+                    }
+                }
+            };
             let maj = 2 * ones >= total;
             let maj_count = if maj { ones } else { total - ones };
             let fraction = maj_count as f64 / total as f64;
-            *nv = if fraction >= threshold {
+            next[i] = if fraction >= threshold {
                 maj
             } else {
+                coin_used = true;
                 coin_view(i, r)
             };
         }
         // Corrupt members' declared votes for bookkeeping.
-        for (i, nv) in next.iter_mut().enumerate() {
+        for i in 0..k {
             if !good[i] {
-                *nv = match attack {
+                next[i] = match attack {
                     CommitteeAttack::Passive => votes[i],
                     CommitteeAttack::Fixed(b) => b,
                     CommitteeAttack::Oppose => !good_majority,
@@ -484,17 +528,20 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
                 };
             }
         }
-        votes = next;
+        let fixed_point = attack != CommitteeAttack::Split && !coin_used && next == votes;
+        std::mem::swap(&mut votes, &mut next);
         // Trace: plurality agreement among good members after this round.
-        let ones = (0..k).filter(|&i| good[i] && votes[i]).count();
-        let total = good.iter().filter(|&&g| g).count().max(1);
-        let plur = ones.max(total - ones);
-        trace.push(plur as f64 / total as f64);
+        let ones = good_ones(&votes);
+        let plur = ones.max(good_total - ones);
+        trace.push(plur as f64 / good_total as f64);
+        if fixed_point {
+            let last = trace[r];
+            trace.resize(rounds, last);
+            break;
+        }
     }
 
-    let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
-    let good_total = good.iter().filter(|&&g| g).count().max(1);
-    let decided = 2 * good_ones >= good_total;
+    let decided = 2 * good_ones(&votes) >= good_total;
     let agreeing = (0..k).filter(|&i| good[i] && votes[i] == decided).count();
     (
         CommitteeOutcome {
@@ -504,6 +551,120 @@ pub fn run_committee_traced<R: Rng + ?Sized>(
         },
         trace,
     )
+}
+
+/// The original round-by-round committee kernel, retained verbatim as
+/// the reference oracle (the `mul_ref` / `iterated::reference` pattern):
+/// it runs every scheduled round and re-derives each received vote per
+/// edge. The `aeba_kernel` property test pins
+/// [`super::run_committee_traced`] against it. Nothing outside tests and
+/// benches should prefer it.
+pub mod reference {
+    use super::{AebaConfig, CommitteeAttack, CommitteeOutcome};
+    use ba_sampler::RegularGraph;
+    use rand::Rng;
+
+    /// See [`super::run_committee_traced`]; same contract, every round
+    /// executed.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_committee_traced<R: Rng + ?Sized>(
+        good: &[bool],
+        inputs: &[bool],
+        graph: &RegularGraph,
+        coin_view: impl Fn(usize, usize) -> bool,
+        rounds: usize,
+        config: &AebaConfig,
+        attack: CommitteeAttack,
+        rng: &mut R,
+    ) -> (CommitteeOutcome, Vec<f64>) {
+        let k = good.len();
+        assert_eq!(inputs.len(), k, "inputs/good length mismatch");
+        assert_eq!(graph.len(), k, "graph size mismatch");
+        let mut votes: Vec<bool> = inputs.to_vec();
+        let threshold = config.supermajority();
+        let mut trace = Vec::with_capacity(rounds);
+
+        for r in 0..rounds {
+            // Rushing: good votes for this round are the current `votes`;
+            // corrupt members choose their outgoing votes knowing them.
+            let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
+            let good_total = good.iter().filter(|&&g| g).count().max(1);
+            let good_majority = 2 * good_ones >= good_total;
+            let mut next = votes.clone();
+            for (i, nv) in next.iter_mut().enumerate() {
+                if !good[i] {
+                    continue;
+                }
+                let mut ones = 0usize;
+                let mut total = 0usize;
+                for &u in graph.neighbors(i) {
+                    let u = u as usize;
+                    let v = if good[u] {
+                        votes[u]
+                    } else {
+                        match attack {
+                            CommitteeAttack::Passive => votes[u],
+                            CommitteeAttack::Fixed(b) => b,
+                            CommitteeAttack::Oppose => !votes[i],
+                            CommitteeAttack::Split => {
+                                // Deterministic half/half split by member id.
+                                if u.is_multiple_of(2) {
+                                    !good_majority
+                                } else {
+                                    rng.gen_bool(0.5)
+                                }
+                            }
+                        }
+                    };
+                    total += 1;
+                    if v {
+                        ones += 1;
+                    }
+                }
+                if total == 0 {
+                    continue;
+                }
+                let maj = 2 * ones >= total;
+                let maj_count = if maj { ones } else { total - ones };
+                let fraction = maj_count as f64 / total as f64;
+                *nv = if fraction >= threshold {
+                    maj
+                } else {
+                    coin_view(i, r)
+                };
+            }
+            // Corrupt members' declared votes for bookkeeping.
+            for (i, nv) in next.iter_mut().enumerate() {
+                if !good[i] {
+                    *nv = match attack {
+                        CommitteeAttack::Passive => votes[i],
+                        CommitteeAttack::Fixed(b) => b,
+                        CommitteeAttack::Oppose => !good_majority,
+                        CommitteeAttack::Split => i % 2 == 0,
+                    };
+                }
+            }
+            votes = next;
+            // Trace: plurality agreement among good members after this round.
+            let ones = (0..k).filter(|&i| good[i] && votes[i]).count();
+            let total = good.iter().filter(|&&g| g).count().max(1);
+            let plur = ones.max(total - ones);
+            trace.push(plur as f64 / total as f64);
+        }
+
+        let good_ones = (0..k).filter(|&i| good[i] && votes[i]).count();
+        let good_total = good.iter().filter(|&&g| g).count().max(1);
+        let decided = 2 * good_ones >= good_total;
+        let agreeing = (0..k).filter(|&i| good[i] && votes[i] == decided).count();
+        (
+            CommitteeOutcome {
+                votes,
+                agreement: agreeing as f64 / good_total as f64,
+                decided,
+            },
+            trace,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@
 //! equivocation) is computed faithfully step by step, while transport
 //! bits and rounds are charged to processors via the exact per-operation
 //! cost formulas of §3.6/Lemma 5 rather than by materializing every
-//! share-replica message. DESIGN.md §5 records this substitution; the E8
+//! share-replica message. `docs/performance.md` ("Priced bits and wire
+//! bits") records what this substitution means for bit counts; the E8
 //! experiment cross-validates the share-secrecy bookkeeping against the
 //! exact [`ba_crypto::iterated::ShareTree`] model.
 

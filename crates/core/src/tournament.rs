@@ -21,7 +21,9 @@
 //! agreement dynamics, elections, adversarial corruption between phases)
 //! are computed faithfully step by step, while transport bits/rounds are
 //! charged through [`CostModel`], whose per-operation formulas transcribe
-//! §3.6/Lemma 5. See DESIGN.md §5 and the crate-level fidelity note.
+//! §3.6/Lemma 5. See the crate-level fidelity note, and
+//! `docs/performance.md` ("Priced bits and wire bits") for why the
+//! envelopes routed here count more bits than the executor prices.
 //!
 //! Secrecy bookkeeping follows Lemma 3: an array's words stay hidden from
 //! the adversary while every committee on its route keeps a good majority
@@ -786,18 +788,7 @@ pub fn run_with_transport<A: TreeAdversary, Tr: Transport<TourMsg> + ?Sized>(
         let online: Vec<bool> = (0..n)
             .map(|i| net.is_online(net_round, ProcId::new(i)))
             .collect();
-        let mut received: HashMap<usize, usize> = HashMap::new();
-        for mc in &inbox {
-            if let TourMsg::WinnerShare {
-                level: l, array, ..
-            } = mc.payload
-            {
-                if l as usize == level {
-                    *received.entry(array as usize).or_insert(0) +=
-                        mc.to.iter().filter(|t| online[t.index()]).count();
-                }
-            }
-        }
+        let received = winner_receipts(&inbox, level, &online);
         for &(node, aid, pairs) in &expected {
             if 2 * received.get(&aid).copied().unwrap_or(0) > pairs {
                 stats.winners += 1;
@@ -1072,6 +1063,43 @@ fn route<Tr: Transport<TourMsg> + ?Sized>(
     let mut got = Vec::new();
     net.collect_many(nr, &mut |mc| got.push(mc));
     got
+}
+
+/// Live recipients per winning array among this level's winner-share
+/// deliveries: `received[array]` counts the deliveries that reached a
+/// member online at the delivery round.
+///
+/// A winner's custodians all fan to the same parent group, so
+/// consecutive deliveries usually share one recipient slice: its online
+/// members are counted once and the count reused while the `Arc` stays
+/// the same. (Keying a map by pointer would not help: a networked
+/// transport delivers a fresh `Arc` per arrival group.)
+fn winner_receipts(
+    inbox: &[Multicast<TourMsg>],
+    level: usize,
+    online: &[bool],
+) -> HashMap<usize, usize> {
+    let mut received: HashMap<usize, usize> = HashMap::new();
+    let mut last_group: Option<(&Arc<[ProcId]>, usize)> = None;
+    for mc in inbox {
+        if let TourMsg::WinnerShare {
+            level: l, array, ..
+        } = mc.payload
+        {
+            if l as usize == level {
+                let live = match last_group {
+                    Some((g, live)) if Arc::ptr_eq(g, &mc.to) => live,
+                    _ => {
+                        let live = mc.to.iter().filter(|t| online[t.index()]).count();
+                        last_group = Some((&mc.to, live));
+                        live
+                    }
+                };
+                *received.entry(array as usize).or_insert(0) += live;
+            }
+        }
+    }
+    received
 }
 
 /// Committee member lists as Arc-shared [`ProcId`] slices, converted
@@ -1449,6 +1477,43 @@ mod tests {
     fn run_clean(n: usize, seed: u64, inputs: &[bool]) -> TournamentOutcome {
         let config = TournamentConfig::for_n(n).with_seed(seed);
         run(&config, inputs, &mut NoTreeAdversary)
+    }
+
+    #[test]
+    fn winner_receipts_count_each_delivery_group() {
+        let ids = |v: &[usize]| -> Arc<[ProcId]> { v.iter().map(|&i| ProcId::new(i)).collect() };
+        let share = |level: u32, array: u32| TourMsg::WinnerShare {
+            level,
+            node: 0,
+            array,
+            words: 1,
+        };
+        let online: Vec<bool> = (0..8).map(|i| i != 3).collect();
+        let shared = ids(&[1, 2, 3]);
+        // Shared groups, then fresh `Arc`s of equal and of different
+        // contents (one arrival group each, as a networked transport
+        // delivers them), another level's share, and another array.
+        let sends = [
+            (shared.clone(), share(2, 5)),
+            (shared.clone(), share(2, 5)),
+            (ids(&[1, 2, 3]), share(2, 5)),
+            (ids(&[3]), share(2, 5)),
+            (ids(&[4, 5, 6]), share(2, 5)),
+            (ids(&[4, 5, 6, 7]), share(3, 5)),
+            (shared, share(2, 9)),
+        ];
+        let inbox: Vec<Multicast<TourMsg>> = sends
+            .into_iter()
+            .map(|(to, payload)| Multicast {
+                from: ProcId::new(0),
+                to,
+                payload,
+            })
+            .collect();
+        let got = winner_receipts(&inbox, 2, &online);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[&5], 2 + 2 + 2 + 3);
+        assert_eq!(got[&9], 2);
     }
 
     #[test]

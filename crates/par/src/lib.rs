@@ -76,18 +76,15 @@ impl PoolShared {
     }
 }
 
-/// The process-wide pool: started on first parallel call, threads live for
-/// the life of the process (they park on the queue condvar when idle).
-fn pool() -> &'static PoolShared {
-    static POOL: OnceLock<&'static PoolShared> = OnceLock::new();
-    POOL.get_or_init(|| {
+impl PoolShared {
+    /// Starts `workers` threads draining a fresh queue. The pool is
+    /// leaked: its threads live for the rest of the process (they park on
+    /// the queue condvar when idle).
+    fn start(workers: usize) -> &'static PoolShared {
         let shared: &'static PoolShared = Box::leak(Box::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             nonempty: Condvar::new(),
         }));
-        // One worker per lane beyond the caller itself (callers always run
-        // their first stripe inline and help while waiting).
-        let workers = num_threads().saturating_sub(1).max(1);
         for w in 0..workers {
             std::thread::Builder::new()
                 .name(format!("ba-par-{w}"))
@@ -106,7 +103,15 @@ fn pool() -> &'static PoolShared {
                 .expect("failed to spawn ba-par worker");
         }
         shared
-    })
+    }
+}
+
+/// The process-wide pool, started on first parallel call.
+fn pool() -> &'static PoolShared {
+    static POOL: OnceLock<&'static PoolShared> = OnceLock::new();
+    // One worker per lane beyond the caller itself (callers always run
+    // their first stripe inline and help while waiting).
+    POOL.get_or_init(|| PoolShared::start(num_threads().saturating_sub(1).max(1)))
 }
 
 /// Tracks completion of one fan-out call's stripes, including the first
@@ -145,9 +150,9 @@ impl FanOut {
         self.done.notify_all();
     }
 
-    /// Blocks until `total` stripes completed, helping with queued jobs
-    /// while waiting. Re-throws the first stripe panic, if any.
-    fn wait(&self, total: usize) {
+    /// Blocks until `total` stripes completed, helping with `pool`'s
+    /// queued jobs while waiting. Re-throws the first stripe panic, if any.
+    fn wait(&self, total: usize, pool: &PoolShared) {
         loop {
             {
                 let st = self.state.lock().expect("fan-out state poisoned");
@@ -157,7 +162,7 @@ impl FanOut {
             }
             // Help: drain whatever is queued (our own stripes, or a nested
             // fan-out's) instead of parking a lane.
-            if let Some(job) = pool().try_pop() {
+            if let Some(job) = pool.try_pop() {
                 job();
                 continue;
             }
@@ -221,6 +226,16 @@ where
     if lanes <= 1 || count < 2 {
         return (0..count).map(f).collect();
     }
+    map_on(pool(), lanes, count, f)
+}
+
+/// [`par_map_index`] on an explicit pool, striped over `lanes ≥ 2` lanes:
+/// the caller runs lane 0 inline and queues the rest on `pool`.
+fn map_on<T, F>(pool: &'static PoolShared, lanes: usize, count: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
     // Hand each lane a block-cyclic stripe of the output slots: lane w
     // gets items w, w+lanes, w+2·lanes, ... This keeps slow tails (e.g.
@@ -241,7 +256,7 @@ where
                 }
             });
         });
-        pool().submit(erase::erase_job(job));
+        pool.submit(erase::erase_job(job));
     }
     // Run our own stripe inline (lane 0), then help until the rest land.
     fan.run_stripe(|| {
@@ -249,7 +264,7 @@ where
             *slot = Some(f(i));
         }
     });
-    fan.wait(lanes);
+    fan.wait(lanes, pool);
     out.into_iter()
         .map(|o| o.expect("stripe filled every slot"))
         .collect()
@@ -304,32 +319,24 @@ mod tests {
 
     #[test]
     fn pool_threads_are_reused_across_calls() {
-        // Two consecutive fan-outs of slow-ish jobs: job-to-thread
-        // assignment races between workers and the helping caller, so
-        // only reuse (a pool thread seen in both calls) is asserted, not
-        // an exact lane set.
-        let collect_ids = || {
-            let mut ids: Vec<String> = par_map_index(200, |_| {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                std::thread::current().name().unwrap_or("caller").to_owned()
-            });
-            ids.sort();
-            ids.dedup();
-            ids
+        // A private one-worker pool: other tests share the process-wide
+        // pool (and help drain its queue), but nothing else can reach this
+        // one. The barrier holds the caller inside its inline stripe until
+        // the other stripe starts, so that stripe can only run on the
+        // pool's worker — the same thread in both calls.
+        let pool = PoolShared::start(1);
+        let barrier = std::sync::Barrier::new(2);
+        let ran_on = || {
+            map_on(pool, 2, 2, |_| {
+                barrier.wait();
+                std::thread::current().id()
+            })
         };
-        if num_threads() <= 1 {
-            // Sequential mode (single core or BA_PAR_THREADS=1): there is
-            // no pool to reuse.
-            return;
-        }
-        let a = collect_ids();
-        let b = collect_ids();
-        let pool_a: Vec<&String> = a.iter().filter(|n| n.starts_with("ba-par-")).collect();
-        let pool_b: Vec<&String> = b.iter().filter(|n| n.starts_with("ba-par-")).collect();
-        assert!(
-            !pool_a.is_empty() && pool_a.iter().any(|n| pool_b.contains(n)),
-            "no pool thread reused: {pool_a:?} vs {pool_b:?}"
-        );
+        let (a, b) = (ran_on(), ran_on());
+        let caller = std::thread::current().id();
+        assert_eq!((a[0], b[0]), (caller, caller));
+        assert_ne!(a[1], caller);
+        assert_eq!(a[1], b[1], "second call ran on a new thread");
     }
 
     #[test]

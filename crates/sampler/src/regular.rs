@@ -10,11 +10,14 @@
 use rand::Rng;
 
 /// An undirected multigraph in which every vertex has (at least) the
-/// requested degree, stored as adjacency lists.
+/// requested degree, stored as one flat adjacency array: vertex `v`'s
+/// neighbours are `adj[offsets[v]..offsets[v + 1]]`, in the order its
+/// edges were drawn.
 #[derive(Clone, Debug)]
 pub struct RegularGraph {
     n: usize,
-    neighbors: Vec<Vec<u32>>,
+    offsets: Vec<usize>,
+    adj: Vec<u32>,
 }
 
 impl RegularGraph {
@@ -29,19 +32,24 @@ impl RegularGraph {
     pub fn random_out_degree<R: Rng + ?Sized>(n: usize, degree: usize, rng: &mut R) -> Self {
         assert!(n >= 2, "graph needs at least two vertices");
         assert!(degree > 0, "degree must be positive");
-        let mut neighbors: Vec<Vec<u32>> = vec![Vec::with_capacity(degree * 2); n];
-        for v in 0..n {
-            for _ in 0..degree {
+        // Vertex v's draws are ends[v·degree..(v+1)·degree].
+        let ends: Vec<u32> = (0..n)
+            .flat_map(|v| (0..degree).map(move |_| v))
+            .map(|v| {
                 // Uniform endpoint, excluding self-loops.
                 let mut u = rng.gen_range(0..n - 1);
                 if u >= v {
                     u += 1;
                 }
-                neighbors[v].push(u as u32);
-                neighbors[u].push(v as u32);
-            }
-        }
-        RegularGraph { n, neighbors }
+                u as u32
+            })
+            .collect();
+        Self::from_edges(
+            n,
+            ends.chunks_exact(degree)
+                .enumerate()
+                .flat_map(|(v, us)| us.iter().map(move |&u| (v as u32, u))),
+        )
     }
 
     /// Union of `degree` uniformly random permutation digraphs,
@@ -56,7 +64,7 @@ impl RegularGraph {
     pub fn random_permutation_union<R: Rng + ?Sized>(n: usize, degree: usize, rng: &mut R) -> Self {
         assert!(n >= 2, "graph needs at least two vertices");
         assert!(degree > 0, "degree must be positive");
-        let mut neighbors: Vec<Vec<u32>> = vec![Vec::with_capacity(degree * 2); n];
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n * degree);
         let mut perm: Vec<usize> = (0..n).collect();
         for _ in 0..degree {
             // Fisher–Yates.
@@ -64,16 +72,37 @@ impl RegularGraph {
                 let j = rng.gen_range(0..=i);
                 perm.swap(i, j);
             }
-            for v in 0..n {
-                let u = perm[v];
-                if u == v {
-                    continue; // drop rare fixed points; degree loss is negligible
-                }
-                neighbors[v].push(u as u32);
-                neighbors[u].push(v as u32);
-            }
+            // Drop rare fixed points; degree loss is negligible.
+            edges.extend(
+                (0..n)
+                    .filter(|&v| perm[v] != v)
+                    .map(|v| (v as u32, perm[v] as u32)),
+            );
         }
-        RegularGraph { n, neighbors }
+        Self::from_edges(n, edges.into_iter())
+    }
+
+    /// Lays out the undirected edge sequence `(v, u)`: each edge appends
+    /// `u` to `v`'s list and then `v` to `u`'s, in sequence order. Two
+    /// passes (count, then fill), so every list lands at its exact size.
+    fn from_edges(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for (v, u) in edges.clone() {
+            offsets[v as usize + 1] += 1;
+            offsets[u as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![0u32; offsets[n]];
+        for (v, u) in edges {
+            adj[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+            adj[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+        }
+        RegularGraph { n, offsets, adj }
     }
 
     /// Number of vertices.
@@ -93,12 +122,12 @@ impl RegularGraph {
     ///
     /// Panics if `v ≥ n`.
     pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.neighbors[v]
+        &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Realized degree of `v`.
     pub fn degree(&self, v: usize) -> usize {
-        self.neighbors[v].len()
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Minimum realized degree over all vertices.
@@ -137,6 +166,62 @@ mod tests {
 
     fn rng(seed: u64) -> ChaCha12Rng {
         ChaCha12Rng::seed_from_u64(seed)
+    }
+
+    /// The per-vertex `Vec` push construction the flat layout replaced,
+    /// kept as the oracle: `(out-degree model, permutation union)` lists.
+    fn pushed_lists(n: usize, degree: usize, seed: u64, perm_union: bool) -> Vec<Vec<u32>> {
+        let mut rng = rng(seed);
+        let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
+        if !perm_union {
+            for v in 0..n {
+                for _ in 0..degree {
+                    let mut u = rng.gen_range(0..n - 1);
+                    if u >= v {
+                        u += 1;
+                    }
+                    neighbors[v].push(u as u32);
+                    neighbors[u].push(v as u32);
+                }
+            }
+            return neighbors;
+        }
+        let mut perm: Vec<usize> = (0..n).collect();
+        for _ in 0..degree {
+            for i in (1..n).rev() {
+                let j = rng.gen_range(0..=i);
+                perm.swap(i, j);
+            }
+            for v in 0..n {
+                let u = perm[v];
+                if u == v {
+                    continue;
+                }
+                neighbors[v].push(u as u32);
+                neighbors[u].push(v as u32);
+            }
+        }
+        neighbors
+    }
+
+    #[test]
+    fn flat_layout_equals_pushed_lists() {
+        for (n, degree, seed) in [
+            (2usize, 5usize, 11u64),
+            (7, 1, 12),
+            (64, 6, 13),
+            (300, 23, 14),
+        ] {
+            let g = RegularGraph::random_out_degree(n, degree, &mut rng(seed));
+            let h = RegularGraph::random_permutation_union(n, degree, &mut rng(seed));
+            for (graph, perm_union) in [(&g, false), (&h, true)] {
+                let want = pushed_lists(n, degree, seed, perm_union);
+                for (v, list) in want.iter().enumerate() {
+                    assert_eq!(graph.neighbors(v), &list[..], "n{n} d{degree} v{v}");
+                    assert_eq!(graph.degree(v), list.len());
+                }
+            }
+        }
     }
 
     #[test]

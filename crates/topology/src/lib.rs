@@ -10,7 +10,8 @@
 //! descendants (carrying opened values in `sendOpen`).
 //!
 //! * [`Params`] — every tunable constant, in both the paper's asymptotic
-//!   form and a structure-preserving practical scaling (see DESIGN.md §3).
+//!   form and a structure-preserving practical scaling (see
+//!   [`Params::practical`]).
 //! * [`Tree`] — the generated structure: memberships and both link
 //!   families, common knowledge derived from a public seed.
 //! * [`Goodness`] — Definition 3 analysis: good nodes, good paths, bad

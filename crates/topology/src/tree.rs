@@ -18,8 +18,9 @@
 //! "each processor has a copy of the required samplers".
 
 use crate::params::Params;
-use ba_sim::{derive_rng, ProcId};
+use ba_sim::{derive_rng, ProcId, SimRng};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Label space (within the master seed) for topology generation streams.
 const TOPOLOGY_LABEL: u64 = 1 << 41;
@@ -41,21 +42,112 @@ impl NodeAddr {
     }
 }
 
-/// The fully generated communication tree.
+/// The communication tree. Membership is drawn when the tree is
+/// generated; each level's uplinks and ℓ-links are drawn on first access
+/// (only the wire-level `sendSecretUp → sendDown → sendOpen` pipeline
+/// reads them), continuing that level's stream exactly where the
+/// membership draws left it — the same links an eager draw produces.
 #[derive(Clone, Debug)]
 pub struct Tree {
     params: Params,
     /// `members[l-1][node]` = processor ids in that committee.
     members: Vec<Vec<Vec<u32>>>,
-    /// `uplinks[l-1][node][member]` = member indices in the parent
-    /// committee (absent for the root level).
-    uplinks: Vec<Vec<Vec<Vec<u32>>>>,
-    /// `llinks[l-1][node][member]` = level-1 node ids inside this node's
-    /// subtree (only populated for levels ≥ 2).
-    llinks: Vec<Vec<Vec<Vec<u32>>>>,
+    /// `links[l-1]` = that level's uplinks and ℓ-links, drawn lazily.
+    links: Vec<LazyLinks>,
     /// `member_of[p]` = list of (level, node, member index) where
     /// processor `p` serves.
     member_of: Vec<Vec<(u32, u32, u32)>>,
+}
+
+/// One level's link families, drawn on first access from a snapshot of
+/// the level's stream taken right after its membership draws.
+#[derive(Clone, Debug)]
+struct LazyLinks {
+    level: usize,
+    rng: SimRng,
+    drawn: OnceLock<LevelLinks>,
+}
+
+/// Uplinks and ℓ-links of one level.
+#[derive(Clone, Debug)]
+struct LevelLinks {
+    /// `uplinks[node][member]` = member indices in the parent committee
+    /// (empty for the root level).
+    uplinks: Vec<Vec<Vec<u32>>>,
+    /// `llinks[node][member]` = level-1 node ids inside this node's
+    /// subtree (empty for level 1).
+    llinks: Vec<Vec<Vec<u32>>>,
+}
+
+impl LazyLinks {
+    fn get(&self, params: &Params) -> &LevelLinks {
+        self.drawn
+            .get_or_init(|| draw_links(params, self.level, &mut self.rng.clone()))
+    }
+}
+
+/// The level's stream: membership draws first, then uplinks, then
+/// ℓ-links.
+fn level_rng(seed: u64, level: usize) -> SimRng {
+    derive_rng(seed, TOPOLOGY_LABEL | ((level as u64) << 20))
+}
+
+/// Membership of every committee at `level`: the root holds everyone;
+/// other committees are sampler-populated (uniform multiset — see
+/// ba-sampler docs).
+fn draw_members<R: Rng + ?Sized>(params: &Params, level: usize, rng: &mut R) -> Vec<Vec<u32>> {
+    let n = params.n;
+    let size = params.node_size(level);
+    (0..params.node_count(level))
+        .map(|_| {
+            if size >= n {
+                (0..n as u32).collect()
+            } else {
+                sample_distinct(n, size, rng)
+            }
+        })
+        .collect()
+}
+
+/// Uplinks to the parent committee (none for the root), then ℓ-links
+/// from committee members to level-1 descendant nodes (none for level 1).
+fn draw_links<R: Rng + ?Sized>(params: &Params, level: usize, rng: &mut R) -> LevelLinks {
+    let count = params.node_count(level);
+    let size = params.node_size(level);
+    let uplinks = if level == params.levels {
+        Vec::new()
+    } else {
+        let parent_size = params.node_size(level + 1);
+        let d = params.uplink_degree.min(parent_size);
+        (0..count)
+            .map(|_| {
+                (0..size)
+                    .map(|_| sample_distinct(parent_size, d, rng))
+                    .collect()
+            })
+            .collect()
+    };
+    let llinks = if level == 1 {
+        Vec::new()
+    } else {
+        (0..count)
+            .map(|node| {
+                let leaves = leaf_range_for(params, level, node);
+                let span = leaves.end - leaves.start;
+                let d = params.llink_degree.min(span);
+                (0..size)
+                    .map(|_| {
+                        let mut v = sample_distinct(span, d, rng);
+                        for e in &mut v {
+                            *e += leaves.start as u32;
+                        }
+                        v
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    LevelLinks { uplinks, llinks }
 }
 
 impl Tree {
@@ -66,73 +158,20 @@ impl Tree {
     /// Panics if `params.validate()` fails.
     pub fn generate(params: &Params, seed: u64) -> Self {
         params.validate().expect("invalid parameters");
-        let levels = params.levels;
-        let n = params.n;
-        let mut members = Vec::with_capacity(levels);
-        let mut uplinks = Vec::with_capacity(levels);
-        let mut llinks = Vec::with_capacity(levels);
-
-        for level in 1..=levels {
-            let count = params.node_count(level);
-            let size = params.node_size(level);
-            let mut rng = derive_rng(seed, TOPOLOGY_LABEL | ((level as u64) << 20));
-
-            // Membership: the root holds everyone; other committees are
-            // sampler-populated (uniform multiset — see ba-sampler docs).
-            let lvl_members: Vec<Vec<u32>> = (0..count)
-                .map(|_| {
-                    if size >= n {
-                        (0..n as u32).collect()
-                    } else {
-                        sample_distinct(n, size, &mut rng)
-                    }
-                })
-                .collect();
-
-            // Uplinks to the parent committee (none for the root).
-            let lvl_uplinks: Vec<Vec<Vec<u32>>> = if level == levels {
-                Vec::new()
-            } else {
-                let parent_size = params.node_size(level + 1);
-                let d = params.uplink_degree.min(parent_size);
-                (0..count)
-                    .map(|_| {
-                        (0..size)
-                            .map(|_| sample_distinct(parent_size, d, &mut rng))
-                            .collect()
-                    })
-                    .collect()
-            };
-
-            // ℓ-links from committee members to level-1 descendant nodes.
-            let lvl_llinks: Vec<Vec<Vec<u32>>> = if level == 1 {
-                Vec::new()
-            } else {
-                (0..count)
-                    .map(|node| {
-                        let leaves = leaf_range_for(params, level, node);
-                        let span = leaves.end - leaves.start;
-                        let d = params.llink_degree.min(span);
-                        (0..size)
-                            .map(|_| {
-                                let mut v = sample_distinct(span, d, &mut rng);
-                                for e in &mut v {
-                                    *e += leaves.start as u32;
-                                }
-                                v
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
-
-            members.push(lvl_members);
-            uplinks.push(lvl_uplinks);
-            llinks.push(lvl_llinks);
+        let mut members = Vec::with_capacity(params.levels);
+        let mut links = Vec::with_capacity(params.levels);
+        for level in 1..=params.levels {
+            let mut rng = level_rng(seed, level);
+            members.push(draw_members(params, level, &mut rng));
+            links.push(LazyLinks {
+                level,
+                rng,
+                drawn: OnceLock::new(),
+            });
         }
 
         // Reverse index: which committees each processor serves in.
-        let mut member_of: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); n];
+        let mut member_of: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); params.n];
         for (li, lvl) in members.iter().enumerate() {
             for (node, ms) in lvl.iter().enumerate() {
                 for (mi, &p) in ms.iter().enumerate() {
@@ -144,8 +183,7 @@ impl Tree {
         Tree {
             params: params.clone(),
             members,
-            uplinks,
-            llinks,
+            links,
             member_of,
         }
     }
@@ -170,7 +208,7 @@ impl Tree {
     ///
     /// Panics for root-level addresses or out-of-range members.
     pub fn uplinks(&self, at: NodeAddr, member: usize) -> &[u32] {
-        &self.uplinks[at.level - 1][at.index][member]
+        &self.links[at.level - 1].get(&self.params).uplinks[at.index][member]
     }
 
     /// The level-1 descendant node ids a member's ℓ-links point to.
@@ -179,7 +217,7 @@ impl Tree {
     ///
     /// Panics for level-1 addresses or out-of-range members.
     pub fn llinks(&self, at: NodeAddr, member: usize) -> &[u32] {
-        &self.llinks[at.level - 1][at.index][member]
+        &self.links[at.level - 1].get(&self.params).llinks[at.index][member]
     }
 
     /// Parent node address.
@@ -519,6 +557,108 @@ mod tests {
         for leaf in t.leaf_range(at) {
             for m in t.llink_members_for_leaf(at, leaf) {
                 assert!(t.llinks(at, m).contains(&(leaf as u32)));
+            }
+        }
+    }
+
+    /// The eager generator the lazy links replaced, kept as the oracle:
+    /// every level's stream drawn front to back — membership, uplinks,
+    /// ℓ-links — at generation time.
+    fn eager_links(params: &Params, seed: u64) -> Vec<LevelLinks> {
+        let (levels, n) = (params.levels, params.n);
+        let mut out = Vec::with_capacity(levels);
+        for level in 1..=levels {
+            let count = params.node_count(level);
+            let size = params.node_size(level);
+            let mut rng = derive_rng(seed, TOPOLOGY_LABEL | ((level as u64) << 20));
+            for _ in 0..count {
+                if size < n {
+                    sample_distinct(n, size, &mut rng);
+                }
+            }
+            let uplinks: Vec<Vec<Vec<u32>>> = if level == levels {
+                Vec::new()
+            } else {
+                let parent_size = params.node_size(level + 1);
+                let d = params.uplink_degree.min(parent_size);
+                (0..count)
+                    .map(|_| {
+                        (0..size)
+                            .map(|_| sample_distinct(parent_size, d, &mut rng))
+                            .collect()
+                    })
+                    .collect()
+            };
+            let llinks: Vec<Vec<Vec<u32>>> = if level == 1 {
+                Vec::new()
+            } else {
+                (0..count)
+                    .map(|node| {
+                        let leaves = leaf_range_for(params, level, node);
+                        let span = leaves.end - leaves.start;
+                        let d = params.llink_degree.min(span);
+                        (0..size)
+                            .map(|_| {
+                                let mut v = sample_distinct(span, d, &mut rng);
+                                for e in &mut v {
+                                    *e += leaves.start as u32;
+                                }
+                                v
+                            })
+                            .collect()
+                    })
+                    .collect()
+            };
+            out.push(LevelLinks { uplinks, llinks });
+        }
+        out
+    }
+
+    /// Every uplink/ℓ-link slice at `level` equals the oracle's.
+    fn assert_level_matches(t: &Tree, oracle: &[LevelLinks], level: usize) {
+        let p = t.params();
+        let want = &oracle[level - 1];
+        for node in 0..p.node_count(level) {
+            let at = NodeAddr::new(level, node);
+            for m in 0..p.node_size(level) {
+                if level < p.levels {
+                    assert_eq!(t.uplinks(at, m), &want.uplinks[node][m][..], "{at:?} m{m}");
+                }
+                if level > 1 {
+                    assert_eq!(t.llinks(at, m), &want.llinks[node][m][..], "{at:?} m{m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_links_equal_eager_draws() {
+        for n in [64usize, 256, 1024] {
+            // The scale profile (exp_scale, stackbench) shrinks k₁ to
+            // 2·log₂ n; nothing else it changes reaches the tree.
+            let k1 = (2.0 * (n as f64).log2()).ceil() as usize;
+            for params in [Params::practical(n), Params::practical(n).with_k1(k1)] {
+                let seed = 0x7EE ^ n as u64;
+                let oracle = eager_links(&params, seed);
+                // Levels first touched root-down.
+                let t = Tree::generate(&params, seed);
+                for level in (1..=params.levels).rev() {
+                    assert_level_matches(&t, &oracle, level);
+                }
+                // Two threads racing on one fresh tree, in opposite orders.
+                let t = Tree::generate(&params, seed);
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        for level in (1..=params.levels).rev() {
+                            assert_level_matches(&t, &oracle, level);
+                        }
+                    });
+                    s.spawn(|| {
+                        for level in 1..=params.levels {
+                            assert_level_matches(&t, &oracle, level);
+                        }
+                    });
+                });
             }
         }
     }

@@ -7,6 +7,10 @@
 # Usage: scripts/bench.sh [N]
 #   N        suffix for the output file (BENCH_N.json), default 1
 #
+# Environment: SCALE_MAX_N caps the scale sweep (default 131072). The
+# n = 131072 point needs more than 16 GB of memory with two worker
+# lanes; on a smaller host set SCALE_MAX_N=16384.
+#
 # The vendored criterion shim appends ndjson lines to $BENCH_JSON; this
 # script collects them, computes kernel speedups against the retained
 # reference kernel, times a couple of experiment binaries end-to-end,
@@ -80,12 +84,13 @@ PROFILE_ROWS=$(grep '"section": "profile"' "$TRACEJSONL" \
 # trace-report fitting bits/good-proc to c·√n·log₂^k(n) from the
 # emitted trial events. The largest row completing end-to-end is the
 # headline number of the batching/caching/arena work.
-echo "== scale sweep (everywhere stack up to n = 131072) =="
+SCALE_MAX_N="${SCALE_MAX_N:-131072}"
+echo "== scale sweep (everywhere stack up to n = ${SCALE_MAX_N}) =="
 SCALEJSON="$(mktemp)"
 SCALETRACE="$(mktemp)"
 trap 'rm -f "$NDJSON" "$SCNJSON" "$TRACEJSONL" "$SCALEJSON" "$SCALETRACE"' EXIT
 cargo run --release --offline -p ba-bench --bin exp_scale -- \
-    --json "$SCALEJSON" --trace "$SCALETRACE"
+    --max-n "$SCALE_MAX_N" --json "$SCALEJSON" --trace "$SCALETRACE"
 SCALE_FIT=$(cargo run --release --offline -p ba-bench --bin trace-report -- \
     "$SCALETRACE" | grep '^fit:' | sed 's/^fit: //')
 echo "   fit: ${SCALE_FIT}"

@@ -8,8 +8,9 @@
 #
 # Always runs: rustfmt check, clippy with warnings denied (the
 # documented `#[allow]` seams in-tree are the only accepted ones),
-# build, tests, and a one-scenario smoke of the composed
-# tree-adversary + partition spec.
+# build, tests, the byte-identity pins again at one and four worker
+# lanes, and a one-scenario smoke of the composed tree-adversary +
+# partition spec.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,6 +26,19 @@ cargo build --release --offline
 
 echo "== cargo test -q =="
 cargo test -q --offline
+
+echo "== byte-identity pins at BA_PAR_THREADS=1 and 4 =="
+# Outcomes are byte-identical per seed at any worker count: rerun the
+# equivalence pins (batched vs unbatched envelopes, committed traces and
+# scenario results, the committee kernel against its reference) on one
+# lane and on four.
+for threads in 1 4; do
+    echo "-- BA_PAR_THREADS=$threads"
+    BA_PAR_THREADS=$threads cargo test -q --offline -p king-saia --test net_equivalence
+    BA_PAR_THREADS=$threads cargo test -q --offline -p ba-bench \
+        --test trace_pinned --test scenario_pinned
+    BA_PAR_THREADS=$threads cargo test -q --offline -p ba-core --test aeba_kernel
+done
 
 echo "== scenario smoke (composed tree adversary + partition) =="
 cargo run --release --offline -p ba-bench --bin scenario -- \

@@ -1,4 +1,5 @@
-//! Statistical shape tests: cheap versions of the EXPERIMENTS.md claims,
+//! Statistical shape tests: cheap versions of the claims the `exp_*`
+//! experiment binaries in `crates/bench` measure,
 //! kept in CI so regressions in the protocol's *quantitative* behaviour
 //! fail loudly, not just its safety properties.
 
