@@ -213,6 +213,24 @@ fn bench_committee(c: &mut Criterion) {
             )
         })
     });
+    // The tournament's usual case: the same committee with 1% of inputs
+    // flipped by exposure noise. The flipped members change their vote
+    // in round 0, so the kernel does work past its first round.
+    let inputs: Vec<bool> = (0..k).map(|i| i % 100 != 7).collect();
+    g.bench_function(format!("k{k}_near_unanimous_8rounds"), |bch| {
+        bch.iter(|| {
+            run_committee(
+                &good,
+                &inputs,
+                &graph,
+                |i, r| (i + r) % 2 == 0,
+                8,
+                &AebaConfig::default(),
+                CommitteeAttack::Passive,
+                &mut rng,
+            )
+        })
+    });
     g.finish();
 }
 
@@ -236,7 +254,9 @@ fn bench_tree(c: &mut Criterion) {
 fn bench_ae_to_e(c: &mut Criterion) {
     let mut g = c.benchmark_group("ae_to_e");
     g.sample_size(10);
-    for n in [64usize, 256] {
+    // n = 1024 is paper-1024's Algorithm 3 phase: inboxes of ~640
+    // requests, below n, so the flood defence never counts senders.
+    for n in [64usize, 256, 1024] {
         g.bench_function(format!("full_run_n{n}"), |bch| {
             bch.iter(|| {
                 let cfg = AeToEConfig::for_n(n, 0.1);

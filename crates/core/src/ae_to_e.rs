@@ -154,11 +154,12 @@ pub struct AeToEProcess {
     /// `Some(M)` = knowledgeable; `None` = confused.
     knowledge: Option<u64>,
     decided: Option<u64>,
-    /// Whom this processor sent each label to in the current loop.
-    sent: HashMap<u16, Vec<ProcId>>,
-    /// Responses received this loop: `label → (value → count)`, counting
-    /// only processors that were actually sent that label.
-    tally: HashMap<u16, HashMap<u64, usize>>,
+    /// Whom this processor sent each label to in the current loop,
+    /// indexed by label (the lists are cleared and refilled every loop).
+    sent: Vec<Vec<ProcId>>,
+    /// Responses received this loop, indexed by label: `(value, count)`
+    /// pairs counting only processors that were actually sent that label.
+    tally: Vec<Vec<(u64, usize)>>,
     /// Set once the full X-loop schedule has run; processors do not
     /// reveal their decision early (everyone participates in every loop —
     /// a processor cannot tell whether *others* have decided).
@@ -173,8 +174,8 @@ impl AeToEProcess {
             cfg,
             knowledge,
             decided: knowledge,
-            sent: HashMap::new(),
-            tally: HashMap::new(),
+            sent: Vec::new(),
+            tally: Vec::new(),
             finished: false,
         }
     }
@@ -185,19 +186,20 @@ impl AeToEProcess {
     }
 
     fn send_requests(&mut self, ctx: &mut RoundCtx<'_, AeMsg>) {
-        self.sent.clear();
-        self.tally.clear();
+        let labels = self.cfg.labels;
+        self.sent.resize_with(labels, Vec::new);
+        self.tally.resize_with(labels, Vec::new);
+        self.tally.iter_mut().for_each(Vec::clear);
         let n = ctx.n();
-        for label in 0..self.cfg.labels as u16 {
-            let mut targets = Vec::with_capacity(self.cfg.per_label);
+        for (label, targets) in (0..).zip(self.sent.iter_mut()) {
+            targets.clear();
             for _ in 0..self.cfg.per_label {
                 let j = ctx.rng().gen_range(0..n);
                 targets.push(ProcId::new(j));
             }
-            for &t in &targets {
+            for &t in targets.iter() {
                 ctx.send(t, AeMsg::Request { label });
             }
-            self.sent.insert(label, targets);
         }
     }
 
@@ -212,64 +214,76 @@ impl AeToEProcess {
         let Some(m) = self.knowledge else { return };
         let k = self.cfg.global_label(lp);
         // Flood defence: a sender issuing more than n−1 requests total is
-        // evidently corrupt (paper §4) and is ignored wholesale.
-        let mut per_sender: HashMap<ProcId, usize> = HashMap::new();
-        for e in inbox {
-            if matches!(e.payload, AeMsg::Request { .. }) {
-                *per_sender.entry(e.from).or_insert(0) += 1;
-            }
-        }
+        // evidently corrupt (paper §4) and is ignored wholesale. No sender
+        // can issue more requests than the inbox holds, so an inbox of
+        // fewer than n envelopes has no sender to cut off and is not
+        // counted.
         let n = ctx.n();
-        let hot: Vec<&Envelope<AeMsg>> = inbox
-            .iter()
-            .filter(|e| {
-                matches!(e.payload, AeMsg::Request { label } if label == k)
-                    && per_sender.get(&e.from).copied().unwrap_or(0) < n
-            })
-            .collect();
-        if hot.len() > self.cfg.overload_cap {
+        let per_sender: Option<HashMap<ProcId, usize>> = (inbox.len() >= n).then(|| {
+            let mut counts = HashMap::new();
+            for e in inbox {
+                if matches!(e.payload, AeMsg::Request { .. }) {
+                    *counts.entry(e.from).or_insert(0) += 1;
+                }
+            }
+            counts
+        });
+        let hot = |e: &&Envelope<AeMsg>| {
+            matches!(e.payload, AeMsg::Request { label } if label == k)
+                && per_sender.as_ref().is_none_or(|counts| counts[&e.from] < n)
+        };
+        if inbox.iter().filter(hot).count() > self.cfg.overload_cap {
             return; // overloaded: answer nobody (Alg. 3 step 3)
         }
-        for e in hot {
+        for e in inbox.iter().filter(hot) {
             ctx.send(e.from, AeMsg::Response { label: k, value: m });
         }
     }
 
+    /// Tallies the loop's responses and decides per Alg. 3 step 4: the
+    /// label with the most counted responses is the best one, and its
+    /// most frequent value is decided once it reaches the threshold.
+    /// Ties go to the lowest label, and within the best label to the
+    /// lowest value, so the choice never depends on arrival or hash order.
     fn collect_responses(&mut self, inbox: &[Envelope<AeMsg>]) {
         for e in inbox {
             let AeMsg::Response { label, value } = e.payload else {
                 continue;
             };
             // Count only answers from processors actually sent this label.
-            let Some(targets) = self.sent.get(&label) else {
+            let Some(targets) = self.sent.get(usize::from(label)) else {
                 continue;
             };
             if !targets.contains(&e.from) {
                 continue;
             }
-            *self
-                .tally
-                .entry(label)
-                .or_default()
-                .entry(value)
-                .or_insert(0) += 1;
+            let counts = &mut self.tally[usize::from(label)];
+            match counts.iter_mut().find(|(v, _)| *v == value) {
+                Some((_, c)) => *c += 1,
+                None => counts.push((value, 1)),
+            }
         }
-        // Decide per Alg. 3 step 4.
         if self.decided.is_some() {
             return;
         }
-        let Some((_, counts)) = self
-            .tally
+        let mut best: &[(u64, usize)] = &[];
+        let mut best_total = 0;
+        for counts in &self.tally {
+            let total = counts.iter().map(|&(_, c)| c).sum::<usize>();
+            if total > best_total {
+                (best, best_total) = (counts, total);
+            }
+        }
+        let Some((value, count)) = best
             .iter()
-            .max_by_key(|(_, counts)| counts.values().sum::<usize>())
+            .copied()
+            .min_by_key(|&(v, c)| (std::cmp::Reverse(c), v))
         else {
-            return;
+            return; // no counted response this loop
         };
         let need = (self.cfg.threshold_frac * self.cfg.per_label as f64).ceil() as usize;
-        if let Some((&value, &count)) = counts.iter().max_by_key(|(_, &c)| c) {
-            if count >= need {
-                self.decided = Some(value);
-            }
+        if count >= need {
+            self.decided = Some(value);
         }
     }
 }
@@ -462,6 +476,44 @@ mod tests {
     fn message_sizes() {
         assert_eq!(AeMsg::Request { label: 3 }.bit_len(), 16);
         assert_eq!(AeMsg::Response { label: 3, value: 9 }.bit_len(), 80);
+    }
+
+    #[test]
+    fn response_ties_go_to_the_lowest_label_then_the_lowest_value() {
+        let cfg = AeToEConfig {
+            labels: 4,
+            per_label: 2,
+            ..AeToEConfig::for_n(16, 0.1)
+        };
+        let p = ProcId::new;
+        let answers = |pairs: &[(usize, u16, u64)]| -> Vec<Envelope<AeMsg>> {
+            pairs
+                .iter()
+                .map(|&(from, label, value)| {
+                    Envelope::new(p(from), p(0), AeMsg::Response { label, value })
+                })
+                .collect()
+        };
+        let confused = || {
+            let mut proc = AeToEProcess::new(cfg.clone(), None);
+            proc.sent = vec![vec![], vec![p(5), p(6)], vec![], vec![p(7), p(8)]];
+            proc.tally = vec![Vec::new(); 4];
+            proc
+        };
+        // Labels 3 and 1 both collect two agreeing answers; label 3
+        // arrives first, label 1 wins the tie.
+        let mut proc = confused();
+        proc.collect_responses(&answers(&[(7, 3, 9), (8, 3, 9), (5, 1, 4), (6, 1, 4)]));
+        assert_eq!(proc.decided, Some(4));
+        // Within one label, two values with two answers each: the lower
+        // value wins whatever the arrival order.
+        let mut proc = confused();
+        proc.collect_responses(&answers(&[(5, 1, 8), (6, 1, 8), (5, 1, 3), (6, 1, 3)]));
+        assert_eq!(proc.decided, Some(3));
+        // Answers from processors never sent the label are not counted.
+        let mut proc = confused();
+        proc.collect_responses(&answers(&[(7, 1, 9), (8, 1, 9), (5, 2, 9)]));
+        assert_eq!(proc.decided, None);
     }
 
     #[test]

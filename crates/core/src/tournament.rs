@@ -1286,11 +1286,16 @@ fn run_node_election(
     let mut agreement_count = 0usize;
     for ci in 0..r_cands {
         let mut word = 0u16;
+        // Member input views: a member whose exposure delivery was lost
+        // on the wire never saw the declaration (nobody did below a
+        // good-path majority); among the rest, exposure noise blinds a
+        // few, per bit.
+        let saw: Vec<bool> = members
+            .iter()
+            .map(|&m| path_frac > 0.5 && exposed.contains(node, ci, m as usize))
+            .collect();
         for bit in 0..bin_bits {
             let truth = (plan.declared[ci] >> bit) & 1 == 1;
-            // Member input views: a member whose exposure delivery was
-            // lost on the wire never saw the declaration; among the rest,
-            // exposure noise blinds a few.
             let inputs: Vec<bool> = (0..k)
                 .map(|m| {
                     let mut vrng = derive_rng(
@@ -1302,10 +1307,7 @@ fn run_node_election(
                             ^ ((bit as u64) << 8)
                             ^ m as u64,
                     );
-                    if exposed.contains(node, ci, members[m] as usize)
-                        && path_frac > 0.5
-                        && !vrng.gen_bool(config.exposure_blindness.clamp(0.0, 0.49))
-                    {
+                    if saw[m] && !vrng.gen_bool(config.exposure_blindness.clamp(0.0, 0.49)) {
                         truth
                     } else {
                         vrng.gen_bool(0.5)

@@ -1,7 +1,8 @@
 //! Pins the committee-agreement kernel (`aeba::run_committee_traced`,
-//! which stops at fixed points and counts votes from one declared-vote
-//! array per round) against the retained round-by-round reference
-//! (`aeba::reference::run_committee_traced`): same votes, agreement,
+//! which stops at fixed points and keeps neighbour sums of the declared
+//! votes up to date by scattering changed declarations) against the
+//! retained round-by-round reference (`aeba::reference::run_committee_traced`,
+//! which gathers every edge every round): same votes, agreement,
 //! decision and trace, the same `coin_view` call sequence, and the
 //! caller's RNG left at the same position.
 
@@ -62,33 +63,46 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Every attack, random good masks and inputs (unanimous ones
-    /// included, where fixed points come early), multigraphs whose
-    /// small `k` and large degree repeat neighbours, coins that vary
-    /// with `(i, r)`, and 0–15 rounds.
+    /// Every attack, random good masks and inputs: unanimous ones
+    /// (fixed points come early), near-unanimous ones with 1–5 % flipped
+    /// in either polarity (the scatter starts from the minority bit,
+    /// whichever it is, and then follows the few changed votes), and
+    /// coin-flip ones. Both graph constructions, multigraphs whose small
+    /// `k` and large degree repeat neighbours, one case in eight at
+    /// `k` = 200–598, coins that vary with `(i, r)`, and 0–15 rounds.
     #[test]
     fn fast_kernel_equals_reference(
         attack in 0usize..5,
         k in 2usize..200,
+        large in 0u8..8,
         degree in 1usize..48,
+        perm_union in any::<bool>(),
         bad_pct in 0u32..50,
-        input_mode in 0u8..4,
+        input_mode in 0u8..6,
+        flip_pct in 1u32..6,
         rounds in 0usize..16,
         eps0_pct in 0u32..20,
         seeds in (any::<u64>(), any::<u64>(), any::<u64>()),
     ) {
         let (mask_seed, coin_seed, rng_seed) = seeds;
         let attack = ATTACKS[attack];
+        let k = if large == 0 { 200 + 2 * k } else { k };
         let mut srng = StdRng::seed_from_u64(mask_seed);
         let good: Vec<bool> = (0..k).map(|_| srng.gen_range(0..100u32) >= bad_pct).collect();
         let inputs: Vec<bool> = (0..k)
             .map(|_| match input_mode {
                 0 => true,
                 1 => false,
+                2 => srng.gen_range(0..100u32) >= flip_pct,
+                3 => srng.gen_range(0..100u32) < flip_pct,
                 _ => srng.gen_bool(0.5),
             })
             .collect();
-        let graph = RegularGraph::random_out_degree(k, degree, &mut srng);
+        let graph = if perm_union {
+            RegularGraph::random_permutation_union(k, degree, &mut srng)
+        } else {
+            RegularGraph::random_out_degree(k, degree, &mut srng)
+        };
         let config = AebaConfig {
             rounds,
             eps0: f64::from(eps0_pct) / 100.0,
