@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the protocol's hot primitives:
 //! field arithmetic, Shamir share/reconstruct, iterated dealing,
 //! sampler and regular-graph construction, the lightest-bin election,
-//! one committee-agreement execution, communication-tree generation, and
-//! one Algorithm-3 loop.
+//! one committee-agreement execution, communication-tree generation,
+//! one Algorithm-3 loop, the ba-net event queue, and the networked
+//! transport's send/collect path.
 
 use ba_core::ae_to_e::{AeToEConfig, AeToEProcess};
 use ba_core::aeba::{run_committee, AebaConfig, CommitteeAttack};
@@ -19,6 +20,10 @@ fn bench_gf(c: &mut Criterion) {
     let mut g = c.benchmark_group("gf16");
     let a = Gf16::new(0x1234);
     let b = Gf16::new(0xABCD);
+    // Build the log/exp tables before timing: a first call inside the
+    // calibration can take over its 2 ms target, which leaves one
+    // iteration per sample and a row that reads timer overhead.
+    black_box(a * b);
     // Table kernel vs. the retained shift-and-xor / Fermat reference.
     g.bench_function("mul", |bch| bch.iter(|| black_box(a) * black_box(b)));
     g.bench_function("mul_ref", |bch| {
@@ -340,6 +345,69 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// `NetTransport` on faults-256's link model (heavy-tail latency, floor
+/// 100, cap 3000, delta 1000, 2% drops): each round, 16 senders fan one
+/// payload out to all 256 processors with `send_many`, after a
+/// `collect_many` of everything due. One iteration is one recipient, so
+/// the row reads in ns per recipient. The `_reference` row runs the same
+/// traffic through the event-queue transport the calendar replaced.
+fn bench_net_transport(c: &mut Criterion) {
+    use ba_net::transport::reference;
+    use ba_net::{FaultPlan, LatencyModel, NetConfig, NetTransport};
+    use ba_sim::{Multicast, ProcId, Transport};
+    use std::sync::Arc;
+
+    const N: usize = 256;
+    const SENDERS: usize = 16;
+    let cfg = NetConfig::synchronous()
+        .with_latency(LatencyModel::HeavyTail {
+            floor: 100,
+            scale: 200.0,
+            alpha: 1.5,
+            cap: 3000,
+        })
+        .with_faults(FaultPlan {
+            drop_prob: 0.02,
+            ..FaultPlan::default()
+        })
+        .with_seed(611);
+    let all: Arc<[ProcId]> = (0..N).map(ProcId::new).collect();
+    // One recipient per call; every `SENDERS · N` calls run one round.
+    fn fan_rounds(t: &mut dyn Transport<u64>, all: Arc<[ProcId]>) -> impl FnMut() -> usize + '_ {
+        let (mut k, mut round) = (0usize, 0usize);
+        move || {
+            k += 1;
+            if k < SENDERS * N {
+                return 0;
+            }
+            k = 0;
+            round += 1;
+            let mut delivered = 0usize;
+            t.collect_many(round, &mut |mc| delivered += mc.to.len());
+            for s in 0..SENDERS {
+                t.send_many(
+                    round,
+                    Multicast {
+                        from: ProcId::new(s),
+                        to: all.clone(),
+                        payload: round as u64,
+                    },
+                );
+            }
+            delivered
+        }
+    }
+
+    let mut g = c.benchmark_group("net_transport");
+    let mut calendar: NetTransport<u64> = NetTransport::new(N, cfg.clone());
+    let mut step = fan_rounds(&mut calendar, all.clone());
+    g.bench_function("heavy_tail_fan_n256", |bch| bch.iter(&mut step));
+    let mut queue: reference::NetTransport<u64> = reference::NetTransport::new(N, cfg);
+    let mut step = fan_rounds(&mut queue, all);
+    g.bench_function("heavy_tail_fan_n256_reference", |bch| bch.iter(&mut step));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_gf,
@@ -351,6 +419,7 @@ criterion_group!(
     bench_committee,
     bench_tree,
     bench_ae_to_e,
-    bench_event_queue
+    bench_event_queue,
+    bench_net_transport
 );
 criterion_main!(benches);

@@ -1072,8 +1072,10 @@ fn route<Tr: Transport<TourMsg> + ?Sized>(
 /// A winner's custodians all fan to the same parent group, so
 /// consecutive deliveries usually share one recipient slice: its online
 /// members are counted once and the count reused while the `Arc` stays
-/// the same. (Keying a map by pointer would not help: a networked
-/// transport delivers a fresh `Arc` per arrival group.)
+/// the same. (Keying a map by pointer would not help: over lossy or
+/// jittery links `NetTransport` keeps the sender's `Arc` only for a fan
+/// that arrives whole, shares one list per processor for single
+/// recipients, and builds a fresh slice for every other arrival group.)
 fn winner_receipts(
     inbox: &[Multicast<TourMsg>],
     level: usize,

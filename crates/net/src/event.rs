@@ -1,19 +1,24 @@
-//! The deterministic discrete-event queue at the heart of `ba-net`.
+//! A deterministic discrete-event queue, and the same-instant
+//! [`DeliveryPolicy`].
 //!
+//! `NetTransport` files in-flight traffic in its own per-delivery-round
+//! calendar; this queue is the storage of the transport it replaced,
+//! `transport::reference`, the oracle the calendar is pinned against.
 //! Events pop in ascending `(time, tie, seq)` order:
 //!
 //! * `time` — the simulated instant the event fires (abstract ticks);
 //! * `tie` — a caller-supplied tie-break key for events at the same
 //!   instant. Callers that derive `tie` deterministically from the event
-//!   itself (the network transport uses the global emission index) get a
-//!   delivery order that is independent of queue internals;
+//!   itself (the reference transport uses the global emission index) get
+//!   a delivery order that is independent of queue internals;
 //! * `seq` — a monotone insertion counter, the final disambiguator, so
 //!   even fully identical keys pop in insertion order.
 //!
 //! Because the comparison key is total, the pop order is a pure function
 //! of the multiset of `(time, tie)` keys plus insertion order of exact
 //! duplicates — *not* of the interleaving in which distinct keys were
-//! pushed. The `net_determinism` proptests pin this down.
+//! pushed. The root `invariants` proptest
+//! `event_queue_pop_order_is_insertion_invariant` pins this down.
 //!
 //! ## Batched pops
 //!

@@ -13,10 +13,10 @@
 //! Time is measured in abstract **ticks**; protocol round `r` occupies
 //! ticks `[r·delta, (r+1)·delta)`. A message emitted in round `r` leaves
 //! at tick `r·delta`, spends a latency sampled from its
-//! [`LatencyModel`] on the wire, and sits in an [`EventQueue`] — a
-//! binary heap keyed by `(arrival time, emission index)` — until the
-//! first round boundary at or past its arrival, where the synchrony
-//! adapter ([`NetTransport`]) delivers it. Delivery is never earlier
+//! [`LatencyModel`] on the wire, and waits in the synchrony adapter's
+//! ([`NetTransport`]) per-delivery-round calendar — filed under the
+//! first round boundary at or past its arrival, in emission order —
+//! until that round's collect delivers it. Delivery is never earlier
 //! than round `r + 1`, so the synchronous round abstraction survives;
 //! latency beyond `delta` makes the message **late** relative to the
 //! protocol's timetable, which the transport counts (per
@@ -35,11 +35,16 @@
 //!   (processors in id order, adversary injections after);
 //! * partitions, crashes, and churn windows are pure functions of
 //!   `(round, processor id)` — they consume no randomness at all;
-//! * delivery order is the event queue's `(time, tie, seq)` order with
-//!   `tie` = emission index, so it is a pure function of the sampled
-//!   arrival times and the emission order, independent of heap
-//!   internals or insertion interleaving (the root `net_determinism`
-//!   proptests pin this).
+//! * delivery order is `(arrival tick, emission index)` order, then the
+//!   [`DeliveryPolicy`] permutes each tick's same-instant batch (drawing
+//!   only from its own `ORDER_LABEL` stream), so it is a pure function of
+//!   the sampled arrival times and the emission order. The event-queue
+//!   transport the calendar replaced, kept as
+//!   [`transport::reference`], pops in exactly that order; the
+//!   `calendar` property test pins the two against each other.
+//!
+//! [`EventQueue`] is the reference's storage: a deterministic
+//! `(time, tie, seq)` queue of per-instant buckets.
 //!
 //! Parallelism in this workspace is across *trials* (see `ba-par`);
 //! each trial owns its own transport and stream, so fan-out width never
@@ -69,7 +74,7 @@ mod event;
 mod fault;
 mod latency;
 mod scenario;
-mod transport;
+pub mod transport;
 
 pub use event::{DeliveryPolicy, EventQueue};
 pub use fault::{Churn, Crash, DropCause, FaultPlan, Partition};

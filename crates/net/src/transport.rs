@@ -11,12 +11,38 @@
 //! makes the message *late* (it arrives in a later round than the
 //! protocol's timetable assumes); the transport counts lateness and loss
 //! per [`Schedule`] phase of the sending round.
+//!
+//! ## Storage: a per-delivery-round calendar
+//!
+//! A processor can only observe the round a message arrives in and its
+//! order within that round, so in-flight traffic is filed by delivery
+//! round, not by tick. Each `send`/`send_many` call becomes one *fan*
+//! record (sending round, sender, recipients, payload, pending count),
+//! addressed by its emission id. Each surviving recipient pushes one
+//! small slot — `(arrival tick, fan id, recipient index)` — onto the
+//! list of the round `⌈arrival / delta⌉`; a whole fan that shares one
+//! fate (a trivial fault plan and constant latency) pushes a single slot.
+//!
+//! A collect detaches every round up to its own and stable-sorts the
+//! slots by tick. Push order is already tie order — fan ids are
+//! monotone in emission order and a fan pushes its slots in recipient
+//! order — so the sort leaves `(tick, fan, recipient)` order, the order
+//! the [`reference`](mod@reference) event queue pops in. Consecutive
+//! same-`(tick, fan)` slots re-form exactly the groups that queue holds
+//! (whole fan → the sender's `Arc`, one recipient → a single, otherwise
+//! the collected slice), and the [`DeliveryPolicy`] permutes each tick's
+//! groups, so delivery order, ordering-stream draws and statistics are
+//! those of the reference.
 
-use crate::event::{DeliveryPolicy, EventQueue};
+pub mod reference;
+
+use crate::event::DeliveryPolicy;
 use crate::fault::{DropCause, FaultPlan};
 use crate::latency::LatencyModel;
 use ba_obs::Trace;
 use ba_sim::{derive_rng, Envelope, Multicast, Payload, ProcId, Schedule, SimRng, Transport};
+use rand::Rng;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Label space for the network transport's RNG stream (labels `0..n` are
@@ -195,18 +221,7 @@ impl NetStats {
     }
 }
 
-/// An envelope or multicast in flight, remembering when it left.
-#[derive(Debug)]
-struct InFlight<M> {
-    sent_round: usize,
-    from: ProcId,
-    to: Dest,
-    payload: M,
-}
-
-/// Recipients of one in-flight entry. A batched fan whose members share
-/// a fate (same drop/latency decision, or none to make) stays one queue
-/// entry; otherwise [`NetTransport::send_many`] splits it by arrival.
+/// Recipients of one fan or in-flight entry.
 #[derive(Debug)]
 enum Dest {
     One(ProcId),
@@ -222,26 +237,19 @@ impl Dest {
     }
 }
 
-/// The timed, faulty network behind the synchronous engine.
-///
-/// Determinism contract: every random decision (latency samples, random
-/// drops) is drawn from one stream derived as
-/// `derive_rng(seed, NET_LABEL)`, consumed in the engine's global
-/// emission order; partitions, crashes, and churn are pure functions of
-/// `(round, processor ids)`. Runs are therefore byte-identical per seed
-/// regardless of how many worker threads run *other* trials around them.
+/// Everything about the wire except where in-flight traffic waits: the
+/// fault state, both RNG streams, the statistics and the trace. The
+/// calendar-backed [`NetTransport`] and the queue-backed
+/// [`reference::NetTransport`] share it, so they decide every fate and
+/// count every envelope with the same code.
 #[derive(Debug)]
-pub struct NetTransport<M> {
+struct Wire {
     cfg: NetConfig,
     /// Per-processor crash round (precomputed from the plan), `usize::MAX`
     /// when the processor never crashes.
     crash_round: Vec<usize>,
-    queue: EventQueue<InFlight<M>>,
     rng: SimRng,
     stats: NetStats,
-    /// Emission counter, used as the event-queue tie key so delivery
-    /// order is a pure function of (arrival, emission order).
-    emitted: u64,
     /// The dedicated ordering stream ([`ORDER_LABEL`]); only the
     /// `Shuffle` policy ever draws from it.
     order_rng: SimRng,
@@ -249,8 +257,6 @@ pub struct NetTransport<M> {
     /// [`Transport::mark_phase`] announcements, parallel to
     /// `stats.per_phase` (unused when the config carries a schedule).
     marks: Vec<usize>,
-    /// Scratch for batched drains (reused at high-water capacity).
-    due: Vec<InFlight<M>>,
     /// Observability handle (attached via [`NetTransport::with_trace`],
     /// never part of [`NetConfig`] so configs stay comparable). Events
     /// aggregate per round; tracing consumes no randomness.
@@ -267,13 +273,8 @@ pub struct NetTransport<M> {
     has_offline: bool,
 }
 
-impl<M> NetTransport<M> {
-    /// Builds the transport for `n` processors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.delta == 0`.
-    pub fn new(n: usize, cfg: NetConfig) -> Self {
+impl Wire {
+    fn new(n: usize, cfg: NetConfig) -> Self {
         assert!(cfg.delta > 0, "delta must be at least one tick per round");
         let crash_round: Vec<usize> = (0..n)
             .map(|p| cfg.faults.crash_round(p).unwrap_or(usize::MAX))
@@ -296,16 +297,13 @@ impl<M> NetTransport<M> {
         }
         let has_offline =
             crash_round.iter().any(|&c| c != usize::MAX) || cfg.faults.churn.is_some();
-        NetTransport {
+        Wire {
             cfg,
             crash_round,
-            queue: EventQueue::new(),
             rng,
             stats,
-            emitted: 0,
             order_rng,
             marks: Vec::new(),
-            due: Vec::new(),
             trace: Trace::off(),
             pend: (0, 0, 0, 0),
             in_flight: 0,
@@ -313,24 +311,7 @@ impl<M> NetTransport<M> {
         }
     }
 
-    /// Attaches an observability handle. Lives on the transport, not on
-    /// [`NetConfig`], so configs stay `PartialEq`-comparable and trace
-    /// wiring can never change which runs compare equal.
-    pub fn with_trace(mut self, trace: Trace) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// The statistics accumulated so far.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// The phase timetable in effect, as `(name, start_round)` pairs:
-    /// the configured [`Schedule`] when present, otherwise the phases
-    /// derived from [`Transport::mark_phase`] announcements. Pairs with
-    /// `ba_sim::Metrics::phase_bits` for per-phase bit attribution.
-    pub fn phase_marks(&self) -> Vec<(String, usize)> {
+    fn phase_marks(&self) -> Vec<(String, usize)> {
         if let Some(schedule) = &self.cfg.schedule {
             let mut start = 0usize;
             let mut out = Vec::new();
@@ -375,9 +356,7 @@ impl<M> NetTransport<M> {
         );
     }
 
-    /// Consumes the transport, folding still-in-flight envelopes into
-    /// [`NetStats::in_flight_at_end`].
-    pub fn into_stats(mut self) -> NetStats {
+    fn into_stats(mut self) -> NetStats {
         self.flush_send_event();
         self.stats.in_flight_at_end = self.in_flight;
         self.stats
@@ -405,8 +384,6 @@ impl<M> NetTransport<M> {
         self.stats.per_phase.get_mut(idx)
     }
 
-    /// [`Transport::is_online`] without the trait bound, so internal
-    /// accounting paths can query liveness for any payload type.
     fn online_at(&self, round: usize, p: ProcId) -> bool {
         let i = p.index();
         if self.crash_round.get(i).is_some_and(|&c| round >= c) {
@@ -415,307 +392,11 @@ impl<M> NetTransport<M> {
         !self.cfg.faults.churn.is_some_and(|c| c.is_down(round, i))
     }
 
-    /// The shared body of [`Transport::collect`] and
-    /// [`Transport::collect_many`]: drains everything due at `round`,
-    /// does all per-recipient accounting (a multicast counts once per
-    /// recipient, exactly like its unbatched expansion would), and hands
-    /// each in-flight entry to `sink` in delivery order.
-    fn drain_round(&mut self, round: usize, mut sink: impl FnMut(ProcId, Dest, M)) {
-        // Everything that arrived by this round's opening tick is due.
-        // (Nothing sent in round r can arrive before r·delta, and collect
-        // for round r runs before round r's sends, so the r+1 floor is
-        // structural.) Batched: whole same-arrival buckets detach in one
-        // tree operation instead of one heap pop per envelope.
-        let now = (round as u64).saturating_mul(self.cfg.delta);
-        // Close out the previous round's send-side counters first, so
-        // the trace reads send → deliver in timeline order.
-        if self.trace.is_on() {
-            self.flush_send_event();
-        }
-        let before = (
-            self.stats.delivered,
-            self.stats.late,
-            self.stats.dead_letters,
-        );
-        let mut due = std::mem::take(&mut self.due);
-        debug_assert!(due.is_empty());
-        self.queue.drain_due_policy(
-            now,
-            self.cfg.ordering,
-            &mut self.order_rng,
-            &mut |_, inflight| due.push(inflight),
-        );
-        for inflight in due.drain(..) {
-            let count = inflight.to.len() as u64;
-            self.in_flight -= count;
-            self.stats.delivered += count;
-            // The wire did its job, but a recipient that is dead or
-            // churned out this round will never read the message.
-            let dead = if self.has_offline {
-                match &inflight.to {
-                    Dest::One(p) => u64::from(!self.online_at(round, *p)),
-                    Dest::Many(list) => {
-                        list.iter().filter(|&&p| !self.online_at(round, p)).count() as u64
-                    }
-                }
-            } else {
-                0
-            };
-            self.stats.dead_letters += dead;
-            let lateness = round.saturating_sub(inflight.sent_round + 1) as u64;
-            if lateness > 0 {
-                self.stats.late += count;
-                self.stats.late_rounds += lateness * count;
-            }
-            if let Some(b) = self.phase_bucket(inflight.sent_round) {
-                b.delivered += count;
-                b.dead_letters += dead;
-                if lateness > 0 {
-                    b.late += count;
-                    b.late_rounds += lateness * count;
-                }
-            }
-            sink(inflight.from, inflight.to, inflight.payload);
-        }
-        self.due = due;
-        if self.trace.is_on() {
-            let delivered = self.stats.delivered - before.0;
-            if delivered > 0 {
-                self.trace.event(
-                    "net:recv",
-                    round as u64,
-                    "",
-                    &[
-                        ("delivered", delivered.into()),
-                        ("late", (self.stats.late - before.1).into()),
-                        ("dead_letters", (self.stats.dead_letters - before.2).into()),
-                    ],
-                );
-            }
-        }
-    }
-}
-
-impl<M: Payload> Transport<M> for NetTransport<M> {
-    fn send(&mut self, round: usize, env: Envelope<M>) {
-        self.stats.sent += 1;
-        let bits = env.bit_len();
-        if let Some(b) = self.phase_bucket(round) {
-            b.sent += 1;
-            b.sent_bits += bits;
-        }
-        if self.trace.is_on() {
-            if self.pend.0 != round {
-                self.flush_send_event();
-            }
-            self.pend.0 = round;
-            self.pend.1 += 1;
-            self.pend.2 += bits;
-        }
-        if let Some(cause) =
-            self.cfg
-                .faults
-                .dropped(round, env.from.index(), env.to.index(), &mut self.rng)
-        {
-            match cause {
-                DropCause::Random => {
-                    self.stats.dropped_random += 1;
-                    if let Some(b) = self.phase_bucket(round) {
-                        b.dropped_random += 1;
-                    }
-                }
-                DropCause::Partition => {
-                    self.stats.dropped_partition += 1;
-                    if let Some(b) = self.phase_bucket(round) {
-                        b.dropped_partition += 1;
-                    }
-                }
-            }
-            if self.trace.is_on() {
-                self.pend.3 += 1;
-            }
-            return;
-        }
-        let latency = self.cfg.latency.sample(&mut self.rng);
-        let arrival = (round as u64)
-            .saturating_mul(self.cfg.delta)
-            .saturating_add(latency);
-        let tie = self.emitted;
-        self.emitted += 1;
-        self.in_flight += 1;
-        self.queue.push(
-            arrival,
-            tie,
-            InFlight {
-                sent_round: round,
-                from: env.from,
-                to: Dest::One(env.to),
-                payload: env.payload,
-            },
-        );
-    }
-
-    /// Accepts a whole fan as one call, byte-identical to its unbatched
-    /// expansion: the same per-recipient counters, the same RNG draws in
-    /// the same order, and the same delivery schedule — but queue volume
-    /// proportional to logical exchanges instead of recipients.
-    fn send_many(&mut self, round: usize, mc: Multicast<M>) {
-        if mc.to.is_empty() {
-            return;
-        }
-        let count = mc.to.len() as u64;
-        self.stats.sent += count;
-        let bits = mc.payload.bit_len();
-        if let Some(b) = self.phase_bucket(round) {
-            b.sent += count;
-            b.sent_bits += bits * count;
-        }
-        if self.trace.is_on() {
-            if self.pend.0 != round {
-                self.flush_send_event();
-            }
-            self.pend.0 = round;
-            self.pend.1 += count;
-            self.pend.2 += bits * count;
-        }
-        // Fast path: a trivial fault plan and constant latency make
-        // every per-recipient decision identical without touching the
-        // RNG (partition checks are pure, drops only draw when
-        // drop_prob > 0, Constant sampling is draw-free), so the whole
-        // fan stays one queue entry. FIFO order survives because the
-        // batch owns the contiguous tie range [emitted, emitted+count).
-        if self.cfg.faults.is_trivial() {
-            if let LatencyModel::Constant(d) = self.cfg.latency {
-                let arrival = (round as u64)
-                    .saturating_mul(self.cfg.delta)
-                    .saturating_add(d);
-                let tie = self.emitted;
-                self.emitted += count;
-                self.in_flight += count;
-                self.queue.push(
-                    arrival,
-                    tie,
-                    InFlight {
-                        sent_round: round,
-                        from: mc.from,
-                        to: Dest::Many(mc.to),
-                        payload: mc.payload,
-                    },
-                );
-                return;
-            }
-        }
-        // Slow path: replay the exact per-recipient decisions of the
-        // unbatched expansion — the same drop and latency draws, from
-        // the same stream, in recipient order — then regroup survivors
-        // by arrival tick. Each group's tie is its first member's
-        // emission index; no other send's tie can fall inside this
-        // batch's tie range, so same-instant FIFO order is unchanged.
-        let base = self.emitted;
-        self.emitted += count;
-        let mut landed: Vec<(u64, u32)> = Vec::with_capacity(mc.to.len());
-        for (i, to) in mc.to.iter().enumerate() {
-            if let Some(cause) =
-                self.cfg
-                    .faults
-                    .dropped(round, mc.from.index(), to.index(), &mut self.rng)
-            {
-                match cause {
-                    DropCause::Random => {
-                        self.stats.dropped_random += 1;
-                        if let Some(b) = self.phase_bucket(round) {
-                            b.dropped_random += 1;
-                        }
-                    }
-                    DropCause::Partition => {
-                        self.stats.dropped_partition += 1;
-                        if let Some(b) = self.phase_bucket(round) {
-                            b.dropped_partition += 1;
-                        }
-                    }
-                }
-                if self.trace.is_on() {
-                    self.pend.3 += 1;
-                }
-                continue;
-            }
-            let latency = self.cfg.latency.sample(&mut self.rng);
-            let arrival = (round as u64)
-                .saturating_mul(self.cfg.delta)
-                .saturating_add(latency);
-            landed.push((arrival, i as u32));
-        }
-        // Stable sort: recipients sharing an arrival keep slice order.
-        landed.sort_by_key(|&(arrival, _)| arrival);
-        let mut k = 0;
-        while k < landed.len() {
-            let arrival = landed[k].0;
-            let tie = base + landed[k].1 as u64;
-            let start = k;
-            while k < landed.len() && landed[k].0 == arrival {
-                k += 1;
-            }
-            let to = if k - start == mc.to.len() {
-                Dest::Many(mc.to.clone())
-            } else if k - start == 1 {
-                Dest::One(mc.to[landed[start].1 as usize])
-            } else {
-                Dest::Many(
-                    landed[start..k]
-                        .iter()
-                        .map(|&(_, i)| mc.to[i as usize])
-                        .collect(),
-                )
-            };
-            self.in_flight += (k - start) as u64;
-            self.queue.push(
-                arrival,
-                tie,
-                InFlight {
-                    sent_round: round,
-                    from: mc.from,
-                    to,
-                    payload: mc.payload.clone(),
-                },
-            );
-        }
-    }
-
-    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
-        self.drain_round(round, |from, to, payload| match to {
-            Dest::One(p) => deliver(Envelope::new(from, p, payload)),
-            Dest::Many(list) => {
-                for &p in list.iter() {
-                    deliver(Envelope::new(from, p, payload.clone()));
-                }
-            }
-        });
-    }
-
-    fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
-        self.drain_round(round, |from, to, payload| {
-            let to = match to {
-                Dest::One(p) => Arc::from([p].as_slice()),
-                Dest::Many(list) => list,
-            };
-            deliver(Multicast { from, to, payload });
-        });
-    }
-
-    fn is_online(&self, round: usize, p: ProcId) -> bool {
-        self.online_at(round, p)
-    }
-
     fn is_faulty(&self, round: usize, p: ProcId) -> bool {
         self.crash_round.get(p.index()).is_some_and(|&c| round >= c)
     }
 
-    /// Derives a per-phase stats timetable from the executor's own
-    /// announcements. A configured [`Schedule`] wins; otherwise each
-    /// *distinct* consecutive name opens a new bucket at `round`
-    /// (repeated announcements of the running phase coalesce, so e.g. a
-    /// per-round coin exchange stays one phase). Marks consume no
-    /// randomness: stats bucketing can never perturb delivery.
+    /// See [`Transport::mark_phase`] on [`NetTransport`].
     fn mark_phase(&mut self, round: usize, name: &str) {
         if self.cfg.schedule.is_some() {
             return;
@@ -739,6 +420,593 @@ impl<M: Payload> Transport<M> for NetTransport<M> {
             name: name.to_owned(),
             ..PhaseNetStats::default()
         });
+    }
+
+    /// Counts `count` envelopes of `bits` each handed over in `round`
+    /// (before any drop decision, like the engine's send charges).
+    fn count_sent(&mut self, round: usize, count: u64, bits: u64) {
+        self.stats.sent += count;
+        if let Some(b) = self.phase_bucket(round) {
+            b.sent += count;
+            b.sent_bits += bits * count;
+        }
+        if self.trace.is_on() {
+            if self.pend.0 != round {
+                self.flush_send_event();
+            }
+            self.pend.0 = round;
+            self.pend.1 += count;
+            self.pend.2 += bits * count;
+        }
+    }
+
+    /// The arrival tick every envelope sent in `round` shares when no
+    /// per-envelope decision is left to make: a trivial fault plan (the
+    /// partition check is pure, drops only draw when `drop_prob > 0`)
+    /// and constant latency (draw-free). `None` otherwise.
+    fn shared_arrival(&self, round: usize) -> Option<u64> {
+        match self.cfg.latency {
+            LatencyModel::Constant(d) if self.cfg.faults.is_trivial() => Some(
+                (round as u64)
+                    .saturating_mul(self.cfg.delta)
+                    .saturating_add(d),
+            ),
+            _ => None,
+        }
+    }
+
+    /// Decides one envelope's fate from the transport stream — the drop
+    /// draw, then (if it survives) the latency draw — and returns its
+    /// arrival tick, or counts the loss and returns `None`.
+    fn fate(&mut self, round: usize, from: ProcId, to: ProcId) -> Option<u64> {
+        if let Some(cause) = self
+            .cfg
+            .faults
+            .dropped(round, from.index(), to.index(), &mut self.rng)
+        {
+            match cause {
+                DropCause::Random => {
+                    self.stats.dropped_random += 1;
+                    if let Some(b) = self.phase_bucket(round) {
+                        b.dropped_random += 1;
+                    }
+                }
+                DropCause::Partition => {
+                    self.stats.dropped_partition += 1;
+                    if let Some(b) = self.phase_bucket(round) {
+                        b.dropped_partition += 1;
+                    }
+                }
+            }
+            if self.trace.is_on() {
+                self.pend.3 += 1;
+            }
+            return None;
+        }
+        let latency = self.cfg.latency.sample(&mut self.rng);
+        Some(
+            (round as u64)
+                .saturating_mul(self.cfg.delta)
+                .saturating_add(latency),
+        )
+    }
+
+    /// Opens a collect: closes out the previous round's send-side
+    /// counters (so the trace reads send → deliver in timeline order)
+    /// and snapshots the delivery counters for the `net:recv` event.
+    fn open_collect(&mut self) -> (u64, u64, u64) {
+        if self.trace.is_on() {
+            self.flush_send_event();
+        }
+        (
+            self.stats.delivered,
+            self.stats.late,
+            self.stats.dead_letters,
+        )
+    }
+
+    /// Counts one delivered group of envelopes sent in `sent_round`: a
+    /// multicast counts once per recipient, exactly like its unbatched
+    /// expansion would.
+    fn count_delivered(
+        &mut self,
+        round: usize,
+        sent_round: usize,
+        to: impl ExactSizeIterator<Item = ProcId>,
+    ) {
+        let count = to.len() as u64;
+        self.in_flight -= count;
+        self.stats.delivered += count;
+        // The wire did its job, but a recipient that is dead or churned
+        // out this round will never read the message.
+        let dead = if self.has_offline {
+            to.filter(|&p| !self.online_at(round, p)).count() as u64
+        } else {
+            0
+        };
+        self.stats.dead_letters += dead;
+        let lateness = round.saturating_sub(sent_round + 1) as u64;
+        if lateness > 0 {
+            self.stats.late += count;
+            self.stats.late_rounds += lateness * count;
+        }
+        if let Some(b) = self.phase_bucket(sent_round) {
+            b.delivered += count;
+            b.dead_letters += dead;
+            if lateness > 0 {
+                b.late += count;
+                b.late_rounds += lateness * count;
+            }
+        }
+    }
+
+    /// Closes a collect opened with [`Wire::open_collect`].
+    fn close_collect(&mut self, round: usize, before: (u64, u64, u64)) {
+        if self.trace.is_on() {
+            let delivered = self.stats.delivered - before.0;
+            if delivered > 0 {
+                self.trace.event(
+                    "net:recv",
+                    round as u64,
+                    "",
+                    &[
+                        ("delivered", delivered.into()),
+                        ("late", (self.stats.late - before.1).into()),
+                        ("dead_letters", (self.stats.dead_letters - before.2).into()),
+                    ],
+                );
+            }
+        }
+    }
+}
+
+/// One `send`/`send_many` call with at least one recipient still on the
+/// wire.
+#[derive(Debug)]
+struct Fan<M> {
+    sent_round: usize,
+    from: ProcId,
+    to: Dest,
+    /// Moved out to the fan's last delivered group, cloned for the others.
+    payload: Option<M>,
+    /// Recipients not yet delivered.
+    pending: usize,
+}
+
+/// One recipient (or, with [`WHOLE_FAN`], all of them) of one fan,
+/// filed under its delivery round.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    tick: u64,
+    /// Emission id of the fan, modulo 2³² (ids of live fans never
+    /// collide: far fewer than 2³² are ever in flight at once).
+    fan: u32,
+    /// Recipient index within the fan.
+    idx: u32,
+}
+
+/// [`Slot::idx`] of the single slot a whole-fan fast-path send pushes.
+const WHOLE_FAN: u32 = u32::MAX;
+
+/// In-flight slots filed by delivery round, and the scratch a collect
+/// reuses at its high-water capacity. Knows nothing of payloads, so it
+/// is compiled once, not per message type.
+#[derive(Debug)]
+struct Calendar {
+    delta: u64,
+    /// Delivery round → its slots, in push order.
+    rounds: BTreeMap<u64, Vec<Slot>>,
+    /// Emptied round lists.
+    spare: Vec<Vec<Slot>>,
+    /// The detached slots of a collect, the counting sort's output and
+    /// counters, and one tick's groups as slot ranges.
+    due: Vec<Slot>,
+    sorted: Vec<Slot>,
+    counts: Vec<usize>,
+    groups: Vec<(usize, usize)>,
+}
+
+impl Calendar {
+    fn new(delta: u64) -> Self {
+        Calendar {
+            delta,
+            rounds: BTreeMap::new(),
+            spare: Vec::new(),
+            due: Vec::new(),
+            sorted: Vec::new(),
+            counts: Vec::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// Files a slot under the delivery round of its tick: the first round
+    /// whose opening tick `round · delta` is at or past the arrival.
+    fn push(&mut self, slot: Slot) {
+        let spare = &mut self.spare;
+        self.rounds
+            .entry(slot.tick.div_ceil(self.delta))
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(slot);
+    }
+
+    /// Detaches every round at or before `round` into `self.due`, sorted
+    /// by tick. (Everything that arrived by the round's opening tick is
+    /// due. Nothing sent in round r can arrive before r·delta, and the
+    /// collect for round r runs before round r's sends, so the r + 1
+    /// floor is structural.)
+    fn detach_due(&mut self, round: usize) {
+        debug_assert!(self.due.is_empty());
+        while let Some(entry) = self.rounds.first_entry() {
+            if *entry.key() > round as u64 {
+                break;
+            }
+            let mut slots = entry.remove();
+            self.due.append(&mut slots);
+            self.spare.push(slots);
+        }
+        self.sort_due_by_tick();
+    }
+
+    /// Stable sort of `self.due` by tick. The detached rounds are each in
+    /// push order, and every tick lives in one round, so a tick's slots
+    /// are already in tie order; only the ticks need ordering. Counting
+    /// sort when the tick span is below twice the slot count (one
+    /// round's span is `delta`), a comparison sort otherwise.
+    fn sort_due_by_tick(&mut self) {
+        let due = &mut self.due;
+        if due.windows(2).all(|w| w[0].tick <= w[1].tick) {
+            return;
+        }
+        let (lo, hi) = due.iter().fold((u64::MAX, 0), |(lo, hi), s| {
+            (lo.min(s.tick), hi.max(s.tick))
+        });
+        let span = hi - lo;
+        if span >= 2 * due.len() as u64 {
+            due.sort_by_key(|s| s.tick);
+            return;
+        }
+        let counts = &mut self.counts;
+        counts.clear();
+        counts.resize(span as usize + 2, 0);
+        for s in due.iter() {
+            counts[(s.tick - lo) as usize + 1] += 1;
+        }
+        for k in 1..counts.len() {
+            counts[k] += counts[k - 1];
+        }
+        let sorted = &mut self.sorted;
+        sorted.clear();
+        sorted.resize(due.len(), Slot::default());
+        for s in due.iter() {
+            let at = &mut counts[(s.tick - lo) as usize];
+            sorted[*at] = *s;
+            *at += 1;
+        }
+        std::mem::swap(due, sorted);
+    }
+
+    /// Splits the run of same-tick slots of `due` that starts at `start`
+    /// into `groups`, one per fan (runs of consecutive same-fan slots),
+    /// and applies `policy` to their order. Returns the end of the run.
+    /// `fan_base` is the oldest live fan id.
+    fn tick_groups(
+        due: &[Slot],
+        start: usize,
+        fan_base: u32,
+        policy: DeliveryPolicy,
+        order_rng: &mut SimRng,
+        groups: &mut Vec<(usize, usize)>,
+    ) -> usize {
+        let tick = due[start].tick;
+        let mut i = start;
+        groups.clear();
+        while i < due.len() && due[i].tick == tick {
+            let first = i;
+            i += 1;
+            while i < due.len() && due[i].tick == tick && due[i].fan == due[first].fan {
+                debug_assert!(due[i - 1].idx < due[i].idx, "push order is tie order");
+                i += 1;
+            }
+            debug_assert!(
+                groups.last().is_none_or(|&(s, _)| {
+                    let age = |f: u32| f.wrapping_sub(fan_base);
+                    age(due[s].fan) < age(due[first].fan)
+                }),
+                "push order is tie order"
+            );
+            groups.push((first, i));
+        }
+        match policy {
+            DeliveryPolicy::Fifo => {}
+            DeliveryPolicy::AdversarialLifo => groups.reverse(),
+            DeliveryPolicy::Shuffle => {
+                for g in (1..groups.len()).rev() {
+                    let j = order_rng.gen_range(0..=g);
+                    groups.swap(g, j);
+                }
+            }
+        }
+        i
+    }
+}
+
+/// A delivered group as the sink sees it.
+enum Group<'a> {
+    One(ProcId),
+    /// The sender's own recipient list.
+    Whole(&'a Arc<[ProcId]>),
+    /// Some recipients of a fan: one slot each.
+    Part(&'a [ProcId], &'a [Slot]),
+}
+
+impl Group<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Group::One(_) => 1,
+            Group::Whole(list) => list.len(),
+            Group::Part(_, slots) => slots.len(),
+        }
+    }
+
+    /// The recipients, in delivery order.
+    fn iter(&self) -> impl ExactSizeIterator<Item = ProcId> + '_ {
+        (0..self.len()).map(|i| match self {
+            Group::One(p) => *p,
+            Group::Whole(list) => list[i],
+            Group::Part(list, slots) => list[slots[i].idx as usize],
+        })
+    }
+}
+
+/// The timed, faulty network behind the synchronous engine.
+///
+/// Determinism contract: every random decision (latency samples, random
+/// drops) is drawn from one stream derived as
+/// `derive_rng(seed, NET_LABEL)`, consumed in the engine's global
+/// emission order; partitions, crashes, and churn are pure functions of
+/// `(round, processor ids)`. Runs are therefore byte-identical per seed
+/// regardless of how many worker threads run *other* trials around them.
+#[derive(Debug)]
+pub struct NetTransport<M> {
+    wire: Wire,
+    /// Fans with recipients in flight, oldest first: fan id
+    /// `fan_base + i` (mod 2³²) sits at index `i`.
+    fans: VecDeque<Fan<M>>,
+    fan_base: u32,
+    calendar: Calendar,
+    /// One shared single-recipient list per processor, built on first
+    /// use, for [`Transport::collect_many`].
+    singles: Vec<Option<Arc<[ProcId]>>>,
+}
+
+impl<M> NetTransport<M> {
+    /// Builds the transport for `n` processors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.delta == 0`.
+    pub fn new(n: usize, cfg: NetConfig) -> Self {
+        NetTransport {
+            calendar: Calendar::new(cfg.delta),
+            wire: Wire::new(n, cfg),
+            fans: VecDeque::new(),
+            fan_base: 0,
+            singles: vec![None; n],
+        }
+    }
+
+    /// Attaches an observability handle. Lives on the transport, not on
+    /// [`NetConfig`], so configs stay `PartialEq`-comparable and trace
+    /// wiring can never change which runs compare equal.
+    pub fn with_trace(mut self, trace: Trace) -> Self {
+        self.wire.trace = trace;
+        self
+    }
+
+    /// The statistics accumulated so far.
+    pub fn stats(&self) -> &NetStats {
+        &self.wire.stats
+    }
+
+    /// The phase timetable in effect, as `(name, start_round)` pairs:
+    /// the configured [`Schedule`] when present, otherwise the phases
+    /// derived from [`Transport::mark_phase`] announcements. Pairs with
+    /// `ba_sim::Metrics::phase_bits` for per-phase bit attribution.
+    pub fn phase_marks(&self) -> Vec<(String, usize)> {
+        self.wire.phase_marks()
+    }
+
+    /// Consumes the transport, folding still-in-flight envelopes into
+    /// [`NetStats::in_flight_at_end`].
+    pub fn into_stats(self) -> NetStats {
+        self.wire.into_stats()
+    }
+
+    /// The id the next recorded fan gets.
+    fn next_fan(&self) -> u32 {
+        self.fan_base.wrapping_add(self.fans.len() as u32)
+    }
+
+    /// Records a fan whose surviving recipients were just scheduled.
+    fn record(&mut self, sent_round: usize, from: ProcId, to: Dest, payload: M, pending: usize) {
+        debug_assert!(self.fans.len() < u32::MAX as usize, "fan ids would collide");
+        self.wire.in_flight += pending as u64;
+        self.fans.push_back(Fan {
+            sent_round,
+            from,
+            to,
+            payload: Some(payload),
+            pending,
+        });
+    }
+}
+
+impl<M: Clone> NetTransport<M> {
+    /// The shared body of [`Transport::collect`] and
+    /// [`Transport::collect_many`]: delivers everything due at `round`,
+    /// does all per-recipient accounting, and hands each group to `sink`
+    /// in delivery order.
+    fn drain_round(&mut self, round: usize, mut sink: impl FnMut(ProcId, Group<'_>, M)) {
+        let before = self.wire.open_collect();
+        self.calendar.detach_due(round);
+        let due = std::mem::take(&mut self.calendar.due);
+        let mut groups = std::mem::take(&mut self.calendar.groups);
+        let mut i = 0;
+        while i < due.len() {
+            i = Calendar::tick_groups(
+                &due,
+                i,
+                self.fan_base,
+                self.wire.cfg.ordering,
+                &mut self.wire.order_rng,
+                &mut groups,
+            );
+            for &(start, end) in &groups {
+                self.deliver_group(round, &due[start..end], &mut sink);
+            }
+        }
+        while self.fans.front().is_some_and(|f| f.pending == 0) {
+            self.fans.pop_front();
+            self.fan_base = self.fan_base.wrapping_add(1);
+        }
+        self.calendar.due = due;
+        self.calendar.due.clear();
+        self.calendar.groups = groups;
+        self.wire.close_collect(round, before);
+    }
+
+    /// Accounts for one group of same-`(tick, fan)` slots and hands it
+    /// to `sink`.
+    fn deliver_group(
+        &mut self,
+        round: usize,
+        slots: &[Slot],
+        sink: &mut impl FnMut(ProcId, Group<'_>, M),
+    ) {
+        let at = slots[0].fan.wrapping_sub(self.fan_base) as usize;
+        let fan = &mut self.fans[at];
+        let whole = slots[0].idx == WHOLE_FAN || slots.len() == fan.to.len();
+        let count = if whole { fan.to.len() } else { slots.len() };
+        fan.pending -= count;
+        let payload = if fan.pending == 0 {
+            fan.payload.take()
+        } else {
+            fan.payload.clone()
+        }
+        .expect("a fan keeps its payload until its last group");
+        let fan = &self.fans[at];
+        let group = match &fan.to {
+            Dest::One(p) => Group::One(*p),
+            Dest::Many(list) if whole => Group::Whole(list),
+            Dest::Many(list) if count == 1 => Group::One(list[slots[0].idx as usize]),
+            Dest::Many(list) => Group::Part(list, slots),
+        };
+        self.wire
+            .count_delivered(round, fan.sent_round, group.iter());
+        sink(fan.from, group, payload);
+    }
+}
+
+impl<M: Payload> Transport<M> for NetTransport<M> {
+    fn send(&mut self, round: usize, env: Envelope<M>) {
+        self.wire.count_sent(round, 1, env.bit_len());
+        let Some(tick) = self.wire.fate(round, env.from, env.to) else {
+            return;
+        };
+        let fan = self.next_fan();
+        self.calendar.push(Slot { tick, fan, idx: 0 });
+        self.record(round, env.from, Dest::One(env.to), env.payload, 1);
+    }
+
+    /// Accepts a whole fan as one call, byte-identical to its unbatched
+    /// expansion: the same per-recipient counters, the same RNG draws in
+    /// the same order, and the same delivery schedule — but one fan
+    /// record per call, and one slot per surviving recipient (a single
+    /// slot when the whole fan shares one fate).
+    fn send_many(&mut self, round: usize, mc: Multicast<M>) {
+        if mc.to.is_empty() {
+            return;
+        }
+        let count = mc.to.len();
+        debug_assert!(count < WHOLE_FAN as usize, "fan too wide for slot indices");
+        self.wire
+            .count_sent(round, count as u64, mc.payload.bit_len());
+        let fan = self.next_fan();
+        if let Some(tick) = self.wire.shared_arrival(round) {
+            self.calendar.push(Slot {
+                tick,
+                fan,
+                idx: WHOLE_FAN,
+            });
+            self.record(round, mc.from, Dest::Many(mc.to), mc.payload, count);
+            return;
+        }
+        // Replay the exact per-recipient decisions of the unbatched
+        // expansion — the same drop and latency draws, from the same
+        // stream, in recipient order.
+        let mut landed = 0;
+        for (i, &to) in mc.to.iter().enumerate() {
+            if let Some(tick) = self.wire.fate(round, mc.from, to) {
+                self.calendar.push(Slot {
+                    tick,
+                    fan,
+                    idx: i as u32,
+                });
+                landed += 1;
+            }
+        }
+        if landed > 0 {
+            self.record(round, mc.from, Dest::Many(mc.to), mc.payload, landed);
+        }
+    }
+
+    fn collect(&mut self, round: usize, deliver: &mut dyn FnMut(Envelope<M>)) {
+        self.drain_round(round, |from, group, payload| match group {
+            Group::One(p) => deliver(Envelope::new(from, p, payload)),
+            _ => {
+                for p in group.iter() {
+                    deliver(Envelope::new(from, p, payload.clone()));
+                }
+            }
+        });
+    }
+
+    fn collect_many(&mut self, round: usize, deliver: &mut dyn FnMut(Multicast<M>)) {
+        let mut singles = std::mem::take(&mut self.singles);
+        self.drain_round(round, |from, group, payload| {
+            let to = match group {
+                Group::One(p) => {
+                    if p.index() >= singles.len() {
+                        singles.resize(p.index() + 1, None);
+                    }
+                    singles[p.index()]
+                        .get_or_insert_with(|| Arc::from([p].as_slice()))
+                        .clone()
+                }
+                Group::Whole(list) => list.clone(),
+                Group::Part(..) => group.iter().collect(),
+            };
+            deliver(Multicast { from, to, payload });
+        });
+        self.singles = singles;
+    }
+
+    fn is_online(&self, round: usize, p: ProcId) -> bool {
+        self.wire.online_at(round, p)
+    }
+
+    fn is_faulty(&self, round: usize, p: ProcId) -> bool {
+        self.wire.is_faulty(round, p)
+    }
+
+    /// Derives a per-phase stats timetable from the executor's own
+    /// announcements. A configured [`Schedule`] wins; otherwise each
+    /// *distinct* consecutive name opens a new bucket at `round`
+    /// (repeated announcements of the running phase coalesce, so e.g. a
+    /// per-round coin exchange stays one phase). Marks consume no
+    /// randomness: stats bucketing can never perturb delivery.
+    fn mark_phase(&mut self, round: usize, name: &str) {
+        self.wire.mark_phase(round, name);
     }
 }
 
@@ -1178,6 +1446,23 @@ mod tests {
         let stats = t.into_stats();
         assert_eq!(stats.delivered, 4);
         assert_eq!(stats.in_flight_at_end, 0);
+    }
+
+    #[test]
+    fn collect_many_shares_one_single_recipient_list_per_processor() {
+        let mut t: NetTransport<u16> = NetTransport::new(3, NetConfig::synchronous());
+        let mut lists = Vec::new();
+        for r in 0..2 {
+            t.send(r, env(0, 2, 1));
+            t.send(r, env(1, 2, 2));
+            t.collect_many(r + 1, &mut |b| lists.push(b.to));
+        }
+        assert_eq!(lists.len(), 4);
+        assert!(lists.iter().all(|l| l[..] == [ProcId::new(2)]));
+        assert!(
+            lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])),
+            "one shared list per recipient, not one per delivery"
+        );
     }
 
     #[test]

@@ -31,7 +31,8 @@ echo "== byte-identity pins at BA_PAR_THREADS=1 and 4 =="
 # Outcomes are byte-identical per seed at any worker count: rerun the
 # equivalence pins (batched vs unbatched envelopes, committed traces and
 # scenario results, the committee kernel against its reference, the
-# committed golden outcome digests) on one lane and on four.
+# NetTransport calendar against its event-queue reference, the committed
+# golden outcome digests) on one lane and on four.
 for threads in 1 4; do
     echo "-- BA_PAR_THREADS=$threads"
     BA_PAR_THREADS=$threads cargo test -q --offline -p king-saia \
@@ -39,6 +40,7 @@ for threads in 1 4; do
     BA_PAR_THREADS=$threads cargo test -q --offline -p ba-bench \
         --test trace_pinned --test scenario_pinned
     BA_PAR_THREADS=$threads cargo test -q --offline -p ba-core --test aeba_kernel
+    BA_PAR_THREADS=$threads cargo test -q --offline -p ba-net --test calendar
 done
 
 echo "== scenario smoke (composed tree adversary + partition) =="

@@ -17,7 +17,9 @@ use king_saia::core::ae_to_e::{AeToEConfig, AeToEProcess};
 use king_saia::core::attacks::{CustodyBuster, LabelGuesser, Overloader, ResponseForger};
 use king_saia::core::everywhere::{self, EverywhereConfig, EverywhereOutcome};
 use king_saia::core::tournament::NoTreeAdversary;
-use king_saia::net::{FaultPlan, LatencyModel, NetConfig, NetTransport};
+use king_saia::net::{
+    Churn, Crash, DeliveryPolicy, FaultPlan, LatencyModel, NetConfig, NetTransport, Partition,
+};
 use king_saia::sim::{Adversary, NullAdversary, ProcId, SimBuilder};
 use king_saia::topology::Params;
 
@@ -152,6 +154,82 @@ fn faulty_network_under_attack_n128_is_pinned() {
         "net n=128",
         stack_digest(&out, Some(&stats)),
         0x4557_6E3F_C7AD_A798,
+    );
+}
+
+/// Runs the full stack at n = 128 on `NetTransport` with `net`, no
+/// adversary, alternating inputs, and digests it with the network stats.
+fn net_stack_digest(seed: u64, net: NetConfig) -> u64 {
+    let n = 128;
+    let config = EverywhereConfig::for_n(n).with_seed(seed);
+    let (out, transport) = everywhere::run_with_transport(
+        &config,
+        &(0..n).map(|i| i % 3 == 0).collect::<Vec<_>>(),
+        &mut NoTreeAdversary,
+        NullAdversary,
+        NetTransport::new(n, net.with_seed(seed)),
+    );
+    let stats = transport.into_stats();
+    stack_digest(&out, Some(&stats))
+}
+
+/// Same-instant batches reversed, over jittery links with a partition, a
+/// crash and rolling churn: pins the group-level permutation the
+/// transport applies, not only the FIFO order.
+#[test]
+fn lifo_partition_crash_churn_n128_is_pinned() {
+    let net = NetConfig::synchronous()
+        .with_ordering(DeliveryPolicy::AdversarialLifo)
+        .with_latency(LatencyModel::Uniform { lo: 0, hi: 1_400 })
+        .with_faults(FaultPlan {
+            partitions: vec![Partition {
+                boundary: 40,
+                from_round: 3,
+                heal_round: 9,
+            }],
+            crashes: vec![Crash { proc: 5, round: 4 }],
+            churn: Some(Churn {
+                period: 11,
+                down: 1,
+                stagger: 3,
+            }),
+            ..FaultPlan::default()
+        });
+    assert_pinned(
+        "net lifo n=128",
+        net_stack_digest(0x11F0, net),
+        0x3473_A697_C78E_35BF,
+    );
+}
+
+/// Same-instant batches shuffled from the ordering stream, over
+/// heavy-tail links with random drops and rolling churn (churn is what
+/// makes the stack's outcome depend on same-instant order: without it
+/// the FIFO, LIFO and shuffled runs of this config coincide): pins the
+/// shuffle draws.
+#[test]
+fn shuffle_heavy_tail_drops_n128_is_pinned() {
+    let net = NetConfig::synchronous()
+        .with_ordering(DeliveryPolicy::Shuffle)
+        .with_latency(LatencyModel::HeavyTail {
+            floor: 100,
+            scale: 200.0,
+            alpha: 1.5,
+            cap: 3000,
+        })
+        .with_faults(FaultPlan {
+            drop_prob: 0.03,
+            churn: Some(Churn {
+                period: 13,
+                down: 1,
+                stagger: 5,
+            }),
+            ..FaultPlan::default()
+        });
+    assert_pinned(
+        "net shuffle n=128",
+        net_stack_digest(7, net),
+        0x0414_BA32_DF33_6E83,
     );
 }
 
